@@ -21,6 +21,7 @@ from .engine import PathOptions, run_path
 from .errors import NumericalError, ValidationError
 from .harness import (
     DEFAULT_DESIGN_PARAMS,
+    design_direction,
     emit_contour,
     emit_sphericity_curve,
     run_experiment,
@@ -62,10 +63,6 @@ def _write_text(text: str, out) -> None:
         Path(out).write_text(text)
 
 
-def _design_kwargs(args) -> dict:
-    return {"q": args.q, "n": getattr(args, "n", None)}
-
-
 def _ray_from_args(args, p: int, n_rows: int):
     if getattr(args, "lambda0", None) or getattr(args, "lambdabar", None):
         if not (args.lambda0 and args.lambdabar):
@@ -75,15 +72,16 @@ def _ray_from_args(args, p: int, n_rows: int):
     else:
         if args.design is None:
             raise ValidationError("give either --design or --lambda0/--lambdabar")
-        q = args.q
-        if args.design == "oscar" and q is None:
-            q = DEFAULT_DESIGN_PARAMS["q_oscar"]
-        if args.design in ("bh", "gauss") and q is None:
-            q = DEFAULT_DESIGN_PARAMS["q_bh"]
-        n = getattr(args, "design_n", None) or n_rows
+        params = dict(DEFAULT_DESIGN_PARAMS)
+        if args.q is not None:
+            params[f"q_{args.design}"] = args.q
         lam0 = np.zeros(p)
-        lam_bar = design_sequence(args.design, p, q=q, n=n)
+        lam_bar = design_direction(args.design, p, args.design_n or n_rows, params)
     return lam0, lam_bar
+
+
+def _worst_violation(report) -> dict:
+    return dict(zip(("condition", "g", "k", "magnitude"), report.worst_violation))
 
 
 def _cmd_weights(args) -> int:
@@ -102,12 +100,7 @@ def _cmd_solve(args) -> int:
         "iterations": result.iterations,
         "objective": result.objective,
         "optimal": result.report.optimal,
-        "worst_violation": {
-            "condition": result.report.worst_violation[0],
-            "g": result.report.worst_violation[1],
-            "k": result.report.worst_violation[2],
-            "magnitude": result.report.worst_violation[3],
-        },
+        "worst_violation": _worst_violation(result.report),
     }
     _write_text(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
@@ -124,12 +117,7 @@ def _cmd_check(args) -> int:
         "slack_margins": [
             {"g": g, "k": k, "margin": m} for g, k, m in report.slack_margins
         ],
-        "worst_violation": {
-            "condition": report.worst_violation[0],
-            "g": report.worst_violation[1],
-            "k": report.worst_violation[2],
-            "magnitude": report.worst_violation[3],
-        },
+        "worst_violation": _worst_violation(report),
         "tol_eq": report.tol_eq,
         "tol_ineq": report.tol_ineq,
     }

@@ -13,7 +13,11 @@ zero), a grouped inequality margin reaching zero (split, including
 activations out of the zero group), and the within-group gradient order
 or the leading zero-coordinate gradient sign changing (switches).  Event
 times are kept as absolute eta values so switch events only touch the few
-entries they invalidate.
+entries they invalidate; each family has one timing formula, evaluated on
+every position by ``refresh`` and on the invalidated ones by the switch
+updates.  The structure is read off the starting point by
+:func:`structure_from_beta`, the same reader the optimality check uses, and
+the grouped Gram is built from scratch in one place.
 """
 
 from __future__ import annotations
@@ -39,9 +43,11 @@ from .model import (
     WeightRay,
     eval_path,
     instance_hash,
+    scatter_groups,
     validate_instance,
     validate_ray,
 )
+from .optimality import structure_from_beta
 from .prox import SolverOptions, solve_slope
 
 __all__ = [
@@ -68,8 +74,11 @@ class PathOptions:
     cached Gram inverse against a from-scratch inversion every K events
     and records the relative error in the path diagnostics;
     ``check_invariants`` additionally asserts that check after every
-    structural event (debug mode).  ``solver`` configures the initializer
-    used when the ray starts at nonzero weights.
+    structural event (debug mode).  ``negative_margin_rtol`` is how far a
+    quantity that must stay nonnegative (a suffix margin, or the gradient
+    gap between within-group neighbours) may sit below zero, relative to
+    its scale, before the state is declared broken.  ``solver`` configures
+    the initializer used when the ray starts at nonzero weights.
     """
 
     iteration_cap: int | None = None
@@ -83,6 +92,14 @@ class PathOptions:
     check_invariants: bool = False
 
 
+def _group_column(X: np.ndarray, signs: np.ndarray, members: np.ndarray) -> np.ndarray:
+    return -(X[:, members] * signs[members]).sum(axis=1)
+
+
+def _group_ydot(Xty: np.ndarray, signs: np.ndarray, members: np.ndarray) -> float:
+    return float(-(signs[members] * Xty[members]).sum())
+
+
 def grouped_design(structure: GroupStructure, X: np.ndarray) -> np.ndarray:
     """Signed grouped columns, one per nonzero group.
 
@@ -90,13 +107,28 @@ def grouped_design(structure: GroupStructure, X: np.ndarray) -> np.ndarray:
     convention that is -sum s_i x_i.  The zero group contributes nothing.
     """
     X = np.asarray(X, dtype=float)
-    cols = []
-    for j in range(structure.n_groups):
-        members = structure.order[structure.member_positions(j)]
-        cols.append(-(X[:, members] * structure.signs[members]).sum(axis=1))
-    if not cols:
-        return np.zeros((X.shape[0], 0))
-    return np.column_stack(cols)
+    cols = [_group_column(X, structure.signs, g) for g in structure.groups()[1:]]
+    return np.column_stack(cols) if cols else np.zeros((X.shape[0], 0))
+
+
+def _grouped_system(structure: GroupStructure, X: np.ndarray, Xty: np.ndarray,
+                    ridge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """From-scratch (XG, XG^T y, A) with A = XG^T XG + ridge * diag(sizes)."""
+    XG = grouped_design(structure, X)
+    XGty = np.array([_group_ydot(Xty, structure.signs, g) for g in structure.groups()[1:]])
+    A = XG.T @ XG + ridge * np.diag(structure.group_sizes().astype(float))
+    return XG, XGty, A
+
+
+def _grouped_weight_sums(cum0: np.ndarray, cumbar: np.ndarray,
+                         offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-group sums of lam0 and lam_bar from their prefix sums."""
+    lo, hi = offsets[:-1], offsets[1:]
+    return cum0[hi] - cum0[lo], cumbar[hi] - cumbar[lo]
+
+
+def _prefix_sums(v: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0.0], np.cumsum(v)))
 
 
 def segment_solution(structure: GroupStructure, instance: ProblemInstance,
@@ -107,70 +139,13 @@ def segment_solution(structure: GroupStructure, instance: ProblemInstance,
     levels = Ainv (XG^T y - lamG(eta)) and slope = -Ainv lamG_bar with
     A = XG^T XG + ridge * diag(group sizes).
     """
-    XG = grouped_design(structure, instance.X)
-    sizes = np.diff(structure.offsets)
-    A = XG.T @ XG + instance.ridge * np.diag(sizes.astype(float))
-    lam0g, lambarg = _grouped_weight_sums(ray, structure.offsets)
-    rhs = XG.T @ instance.y - lam0g - eta * lambarg
-    levels = np.linalg.solve(A, rhs) if A.size else np.zeros(0)
-    slope = -np.linalg.solve(A, lambarg) if A.size else np.zeros(0)
-    return levels, slope
-
-
-def _grouped_weight_sums(ray: WeightRay, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    cum0 = np.concatenate(([0.0], np.cumsum(ray.lam0)))
-    cumbar = np.concatenate(([0.0], np.cumsum(ray.lam_bar)))
-    lo = offsets[:-1]
-    hi = offsets[1:]
-    return cum0[hi] - cum0[lo], cumbar[hi] - cumbar[lo]
-
-
-def structure_from_beta(beta, gradient, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read (order, offsets, levels, signs) off a coefficient vector.
-
-    Coordinates within ``tol`` of zero form the zero group; the rest are
-    chained into shared-value clusters whenever consecutive sorted
-    magnitudes differ by at most ``tol``.  Zero coordinates are ordered by
-    ascending |gradient|, nonzero groups by ascending s * gradient, ties
-    by coordinate index.
-    """
-    beta = np.asarray(beta, dtype=float)
-    gradient = np.asarray(gradient, dtype=float)
-    p = beta.size
-    absb = np.abs(beta)
-
-    s = np.where(beta > 0, -1.0, np.where(beta < 0, 1.0, 0.0))
-    zero_mask = absb <= tol
-    s[zero_mask] = np.where(gradient[zero_mask] >= 0, 1.0, -1.0)
-
-    zero_idx = np.flatnonzero(zero_mask)
-    zero_idx = zero_idx[np.lexsort((zero_idx, np.abs(gradient[zero_idx])))]
-
-    nz = np.flatnonzero(~zero_mask)
-    nz = nz[np.argsort(absb[nz], kind="stable")]
-    clusters: list[np.ndarray] = []
-    start = 0
-    for i in range(1, nz.size):
-        if absb[nz[i]] - absb[nz[i - 1]] > tol:
-            clusters.append(nz[start:i])
-            start = i
-    if nz.size:
-        clusters.append(nz[start:])
-
-    order_parts = [zero_idx]
-    levels = np.empty(len(clusters))
-    for ci, cluster in enumerate(clusters):
-        key = s[cluster] * gradient[cluster]
-        order_parts.append(cluster[np.lexsort((cluster, key))])
-        levels[ci] = absb[cluster].mean()
-    order = np.concatenate(order_parts).astype(int)
-    sizes = [len(c) for c in clusters]
-    if sizes:
-        offsets = np.concatenate(([zero_idx.size],
-                                  zero_idx.size + np.cumsum(sizes))).astype(int)
-    else:
-        offsets = np.array([p], dtype=int)
-    return order, offsets, levels, s
+    _, XGty, A = _grouped_system(structure, instance.X, instance.X.T @ instance.y,
+                                 instance.ridge)
+    lam0g, lambarg = _grouped_weight_sums(_prefix_sums(ray.lam0),
+                                          _prefix_sums(ray.lam_bar), structure.offsets)
+    if not A.size:
+        return np.zeros(0), np.zeros(0)
+    return np.linalg.solve(A, XGty - lam0g - eta * lambarg), -np.linalg.solve(A, lambarg)
 
 
 # --- incremental symmetric inverse updates --------------------------------
@@ -185,25 +160,11 @@ def _inv_insert(B: np.ndarray, a: np.ndarray, alpha: float, at: int) -> np.ndarr
     """Inverse after bordering with cross products ``a`` and diagonal
     ``alpha``, then moving the new index to position ``at``.  Raises
     NumericalError when the Schur complement is not positive."""
-    m = B.shape[0]
-    if m == 0:
-        if alpha <= 0:
-            raise NumericalError("non-positive diagonal in rank-1 insert")
-        return np.array([[1.0 / alpha]])
     v = B @ a
     schur = alpha - float(a @ v)
     if schur <= 0:
         raise NumericalError("non-positive Schur complement in bordered insert")
-    top = B + np.outer(v, v) / schur
-    out = np.empty((m + 1, m + 1))
-    out[:m, :m] = top
-    out[:m, m] = -v / schur
-    out[m, :m] = -v / schur
-    out[m, m] = 1.0 / schur
-    if at != m:
-        perm = list(range(at)) + [m] + list(range(at, m))
-        out = out[np.ix_(perm, perm)]
-    return out
+    return _sym_insert(B + np.outer(v, v) / schur, -v / schur, 1.0 / schur, at)
 
 
 def _sym_delete(M: np.ndarray, j: int) -> np.ndarray:
@@ -212,6 +173,8 @@ def _sym_delete(M: np.ndarray, j: int) -> np.ndarray:
 
 
 def _sym_insert(M: np.ndarray, a: np.ndarray, alpha: float, at: int) -> np.ndarray:
+    """Symmetric border [[M, a], [a^T, alpha]] with the new index moved to
+    position ``at``."""
     m = M.shape[0]
     out = np.empty((m + 1, m + 1))
     out[:m, :m] = M
@@ -247,16 +210,15 @@ class EngineState:
         self.ridge = instance.ridge
         self.n, self.p = instance.X.shape
         self.Xty = instance.X.T @ instance.y
-        self.cum0 = np.concatenate(([0.0], np.cumsum(ray.lam0)))
-        self.cumbar = np.concatenate(([0.0], np.cumsum(ray.lam_bar)))
+        self.cum0 = _prefix_sums(ray.lam0)
+        self.cumbar = _prefix_sums(ray.lam_bar)
 
         self.eta = 0.0
-        gradient = instance.gradient(beta0)
         tol = options.group_tol_scale * (1.0 + float(np.max(np.abs(beta0), initial=0.0)))
-        self.order, self.starts, self.levels, self.s = structure_from_beta(
-            beta0, gradient, tol)
-
-        self._rebuild_linear_algebra()
+        structure = structure_from_beta(beta0, instance.gradient(beta0), tol)
+        self.order, self.starts, self.s = structure.order, structure.offsets, structure.signs
+        self.XG, self.XGty, self.A = _grouped_system(structure, self.X, self.Xty, self.ridge)
+        self.Ainv = np.linalg.inv(self.A) if self.n_groups else np.zeros((0, 0))
 
         # event bookkeeping
         self.n_events = 0
@@ -295,52 +257,26 @@ class EngineState:
             return 0, int(self.starts[0])
         return int(self.starts[j]), int(self.starts[j + 1])
 
+    def split_label(self, pos: int) -> tuple[int, int]:
+        """Grouped (g, k) label of the split at suffix position ``pos``."""
+        j = self.group_of_position(pos)
+        return j + 1, pos - self.slice_of_group(j)[0] + 1
+
     def to_structure(self) -> GroupStructure:
         return GroupStructure(
             order=self.order.copy(),
             offsets=self.starts.copy(),
             levels=self.levels.copy(),
             signs=self.s.copy(),
-            gram_inverse=self.Ainv.copy(),
         )
 
     def scatter_beta(self) -> np.ndarray:
-        beta = np.zeros(self.p)
-        for j in range(self.n_groups):
-            a, b = self.slice_of_group(j)
-            members = self.order[a:b]
-            beta[members] = -self.s[members] * self.levels[j]
-        return beta
+        return scatter_groups(self.order, self.starts, self.s, self.levels)
 
     def scatter_slope(self) -> np.ndarray:
-        slope = np.zeros(self.p)
-        for j in range(self.n_groups):
-            a, b = self.slice_of_group(j)
-            members = self.order[a:b]
-            slope[members] = -self.s[members] * self.slopeG[j]
-        return slope
+        return scatter_groups(self.order, self.starts, self.s, self.slopeG)
 
     # -- linear algebra maintenance --
-
-    def _group_column(self, members: np.ndarray) -> np.ndarray:
-        return -(self.X[:, members] * self.s[members]).sum(axis=1)
-
-    def _group_ydot(self, members: np.ndarray) -> float:
-        return float(-(self.s[members] * self.Xty[members]).sum())
-
-    def _rebuild_linear_algebra(self) -> None:
-        """From-scratch grouped columns, Gram, and inverse."""
-        m = self.n_groups
-        self.XG = np.zeros((self.n, m))
-        self.XGty = np.zeros(m)
-        sizes = np.diff(self.starts).astype(float)
-        for j in range(m):
-            a, b = self.slice_of_group(j)
-            members = self.order[a:b]
-            self.XG[:, j] = self._group_column(members)
-            self.XGty[j] = self._group_ydot(members)
-        self.A = self.XG.T @ self.XG + self.ridge * np.diag(sizes)
-        self.Ainv = np.linalg.inv(self.A) if m else np.zeros((0, 0))
 
     def _probe_inverse(self) -> None:
         m = self.n_groups
@@ -360,7 +296,7 @@ class EngineState:
         self.A = _sym_delete(self.A, j)
 
     def _insert_group_algebra(self, members: np.ndarray, at: int) -> None:
-        col = self._group_column(members)
+        col = _group_column(self.X, self.s, members)
         a = self.XG.T @ col
         alpha = float(col @ col) + self.ridge * members.size
         try:
@@ -372,34 +308,23 @@ class EngineState:
         else:
             self.A = _sym_insert(self.A, a, alpha, at)
         self.XG = np.insert(self.XG, at, col, axis=1)
-        self.XGty = np.insert(self.XGty, at, self._group_ydot(members))
+        self.XGty = np.insert(self.XGty, at, _group_ydot(self.Xty, self.s, members))
 
     def scratch_check(self) -> float:
         """Relative Frobenius error of the cached inverse against a fresh
         rebuild of the grouped Gram from the raw design."""
-        m = self.n_groups
-        if m == 0:
+        if self.n_groups == 0:
             return 0.0
-        XG = np.zeros((self.n, m))
-        for j in range(m):
-            a, b = self.slice_of_group(j)
-            XG[:, j] = self._group_column(self.order[a:b])
-        A = XG.T @ XG + self.ridge * np.diag(np.diff(self.starts).astype(float))
+        _, _, A = _grouped_system(self.to_structure(), self.X, self.Xty, self.ridge)
         fresh = np.linalg.inv(A)
         denom = float(np.linalg.norm(fresh))
         return float(np.linalg.norm(self.Ainv - fresh)) / max(denom, 1e-300)
-
-    # -- grouped weights --
-
-    def _lam_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.starts[:-1], self.starts[1:]
-        return self.cum0[hi] - self.cum0[lo], self.cumbar[hi] - self.cumbar[lo]
 
     # -- full refresh: closed-form state and every event timing --
 
     def refresh(self) -> None:
         m = self.n_groups
-        lam0g, lambarg = self._lam_sums()
+        lam0g, lambarg = _grouped_weight_sums(self.cum0, self.cumbar, self.starts)
         if m:
             self.levels = self.Ainv @ (self.XGty - lam0g - self.eta * lambarg)
             self.slopeG = -(self.Ainv @ lambarg)
@@ -427,12 +352,21 @@ class EngineState:
         self.sgrad_val = -so * c[o] - self.ridge * level_pos
         self.sgrad_rate = so * d[o] - self.ridge * slope_pos
 
-        self._slice_end = np.repeat(self.starts, sizes)
-        self.suf_val = _suffix_within(self.sgrad_val, self._slice_end)
-        self.suf_rate = _suffix_within(self.sgrad_rate, self._slice_end)
+        self.eta_ref = self.eta
+        ends = self._slice_end = np.repeat(self.starts, sizes)
+        # position constants until the next structural event: which pairs
+        # share a group, which suffixes are margins (one starting a nonzero
+        # group is its equality), and the weight suffix sums at eta_ref
+        self._same_group = ends[:-1] == ends[1:]
+        self._split_ok = np.ones(self.p, dtype=bool)
+        self._split_ok[self.starts[:-1]] = False
+        self._lam_suf_rate = self.cumbar[ends] - self.cumbar[:-1]
+        self._lam_suf_ref = (self.cum0[ends] - self.cum0[:-1]) \
+            + self.eta_ref * self._lam_suf_rate
+        self.suf_val = _suffix_within(self.sgrad_val, ends)
+        self.suf_rate = _suffix_within(self.sgrad_rate, ends)
 
         self._order_check()
-        self.eta_ref = self.eta
         self._mscale = self._margin_scale()
         self._recompute_all_times()
         self._apply_suppressions()
@@ -446,12 +380,10 @@ class EngineState:
 
     def _order_check(self) -> None:
         grad_scale = 1.0 + float(np.max(np.abs(self.sgrad_val), initial=0.0))
-        tol = 1e-7 * grad_scale
-        pos = np.arange(self.p - 1)
-        same = self._slice_end[:-1] == self._slice_end[1:] if self.p > 1 else np.zeros(0, bool)
-        bad = same & (self.sgrad_val[1:] - self.sgrad_val[:-1] < -tol)
+        tol = self.options.negative_margin_rtol * grad_scale
+        bad = self._same_group & (self.sgrad_val[1:] - self.sgrad_val[:-1] < -tol)
         if np.any(bad):
-            k = int(pos[bad][0])
+            k = int(np.flatnonzero(bad)[0])
             raise StructureInvariantBrokenError(
                 f"within-group gradient order violated at positions {k},{k + 1} "
                 f"(eta={self.eta!r})"
@@ -464,128 +396,66 @@ class EngineState:
         grad = float(np.max(np.abs(self.sgrad_val), initial=0.0))
         return 1.0 + lam_now + grad
 
-    def _recompute_all_times(self) -> None:
-        p, m = self.p, self.n_groups
-        clamp = self.options.timing_clamp
+    def _time_to_zero(self, value: np.ndarray, rate: np.ndarray) -> np.ndarray:
+        """Absolute time at which ``value + (t - eta) * rate`` reaches zero:
+        inf unless the rate is negative; a negative value (already past
+        zero) and waits up to ``timing_clamp`` snap to now."""
+        dt = np.full(value.shape, math.inf)
+        np.divide(value, -rate, out=dt, where=rate < 0)
+        dt[dt <= self.options.timing_clamp] = 0.0
+        dt += self.eta
+        return dt
 
+    def _recompute_all_times(self) -> None:
         # fuse: group j colliding with the level below it; the ordering
         # check in refresh() already bounds how negative a gap can be, so
         # event-instant ties are simply clipped to zero here
-        self.fuse_t = np.full(m, math.inf)
-        if m:
-            below_level = np.concatenate(([0.0], self.levels[:-1]))
-            below_slope = np.concatenate(([0.0], self.slopeG[:-1]))
-            gap = np.maximum(self.levels - below_level, 0.0)
-            closing = below_slope - self.slopeG
-            ok = closing > 0
-            dt = np.full(m, math.inf)
-            dt[ok] = gap[ok] / closing[ok]
-            dt[dt <= clamp] = 0.0
-            self.fuse_t = self.eta + dt
-
-        # split: one candidate per admissible suffix start (vectorized; the
-        # scalar _split_time_at handles the selective switch-path updates)
-        ends = self._slice_end
-        pos = np.arange(p)
-        lam_sufbar = self.cumbar[ends] - self.cumbar[pos]
-        m_now = (self.cum0[ends] - self.cum0[pos]) + self.eta * lam_sufbar \
-            - (self.suf_val + (self.eta - self.eta_ref) * self.suf_rate)
-        m_rate = lam_sufbar - self.suf_rate
-        admissible = np.ones(p, dtype=bool)
-        if self.starts.size > 1:
-            admissible[self.starts[:-1]] = False
-        neg_tol = self.options.negative_margin_rtol * self._mscale
-        bad = admissible & (m_now < -neg_tol)
-        if np.any(bad):
-            worst = int(pos[bad][np.argmin(m_now[bad])])
-            raise NegativeTimingError(
-                f"optimality margin {m_now[worst]:.3e} already violated at "
-                f"eta={self.eta!r} (suffix position {worst})"
-            )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dt = np.where(m_rate < 0, np.maximum(m_now, 0.0) / -m_rate, math.inf)
-        dt[dt <= clamp] = 0.0
-        self.split_t = np.where(admissible, self.eta + dt, math.inf)
-
-        # order switches: adjacent same-group pairs
-        self.switch_t = np.full(max(p - 1, 0), math.inf)
-        if p > 1:
-            same = ends[:-1] == ends[1:]
-            diff_now = (self.sgrad_val[1:] - self.sgrad_val[:-1]) \
-                + (self.eta - self.eta_ref) * (self.sgrad_rate[1:] - self.sgrad_rate[:-1])
-            rate = self.sgrad_rate[1:] - self.sgrad_rate[:-1]
-            order_tol = 1e-7 * (1.0 + np.abs(self.sgrad_val[:-1])
-                                + np.abs(self.sgrad_val[1:]))
-            bad = same & (diff_now < -order_tol)
-            if np.any(bad):
-                k = int(np.flatnonzero(bad)[0])
-                raise StructureInvariantBrokenError(
-                    f"gradient order already inverted at positions {k},{k + 1}"
-                )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dts = np.where(rate < 0, np.maximum(diff_now, 0.0) / -rate, math.inf)
-            dts[dts <= clamp] = 0.0
-            self.switch_t = np.where(same, self.eta + dts, math.inf)
-
+        self.fuse_t = self._time_to_zero(
+            self.levels - np.concatenate(([0.0], self.levels[:-1])),
+            self.slopeG - np.concatenate(([0.0], self.slopeG[:-1])))
+        self.split_t = self._split_times(0, self.p)
+        self.switch_t = self._switch_times(0, max(self.p - 1, 0))
         self.sign_t = self._sign_time()
 
-    def _split_admissible(self, pos: int) -> bool:
-        if pos < self.starts[0]:
-            return True
-        return not np.any(self.starts[:-1] == pos)
-
-    def _split_time_at(self, pos: int) -> float:
-        """Absolute time at which the suffix margin at ``pos`` hits zero."""
-        if not self._split_admissible(pos):
-            return math.inf
-        end = int(self._slice_end[pos])
-        lam_suffix0 = self.cum0[end] - self.cum0[pos]
-        lam_suffixbar = self.cumbar[end] - self.cumbar[pos]
-        m_ref = lam_suffix0 + self.eta_ref * lam_suffixbar - self.suf_val[pos]
-        m_rate = lam_suffixbar - self.suf_rate[pos]
-        m_now = m_ref + (self.eta - self.eta_ref) * m_rate
-        if m_now < -self.options.negative_margin_rtol * self._mscale:
+    def _split_times(self, lo: int, hi: int) -> np.ndarray:
+        """Times at which the suffix margins at positions [lo, hi) hit zero."""
+        m_rate = self._lam_suf_rate[lo:hi] - self.suf_rate[lo:hi]
+        m_now = (self._lam_suf_ref[lo:hi] - self.suf_val[lo:hi]) \
+            + (self.eta - self.eta_ref) * m_rate
+        ok = self._split_ok[lo:hi]
+        bad = ok & (m_now < -self.options.negative_margin_rtol * self._mscale)
+        if bad.any():
+            worst = lo + int(np.flatnonzero(bad)[np.argmin(m_now[bad])])
             raise NegativeTimingError(
-                f"optimality margin {m_now:.3e} already violated at eta={self.eta!r} "
-                f"(suffix position {pos})"
+                f"optimality margin {m_now[worst - lo]:.3e} already violated at "
+                f"eta={self.eta!r} (suffix position {worst})"
             )
-        if m_rate >= 0:
-            return math.inf
-        dt = max(m_now, 0.0) / -m_rate
-        if dt <= self.options.timing_clamp:
-            dt = 0.0
-        return self.eta + dt
+        return np.where(ok, self._time_to_zero(m_now, m_rate), math.inf)
 
-    def _switch_time_at(self, k: int) -> float:
-        ends = self._slice_end
-        if ends[k] != ends[k + 1]:
-            return math.inf
-        diff_ref = self.sgrad_val[k + 1] - self.sgrad_val[k]
-        rate = self.sgrad_rate[k + 1] - self.sgrad_rate[k]
-        diff_now = diff_ref + (self.eta - self.eta_ref) * rate
-        if diff_now < -1e-7 * (1.0 + abs(self.sgrad_val[k]) + abs(self.sgrad_val[k + 1])):
+    def _switch_times(self, lo: int, hi: int) -> np.ndarray:
+        """Times at which the adjacent pairs (k, k+1), k in [lo, hi), of one
+        group swap their gradient order."""
+        val, rate_all = self.sgrad_val[lo:hi + 1], self.sgrad_rate[lo:hi + 1]
+        same = self._same_group[lo:hi]
+        rate = rate_all[1:] - rate_all[:-1]
+        diff_now = (val[1:] - val[:-1]) + (self.eta - self.eta_ref) * rate
+        order_tol = self.options.negative_margin_rtol \
+            * (1.0 + np.abs(val[:-1]) + np.abs(val[1:]))
+        bad = same & (diff_now < -order_tol)
+        if bad.any():
+            k = lo + int(np.flatnonzero(bad)[0])
             raise StructureInvariantBrokenError(
                 f"gradient order already inverted at positions {k},{k + 1}"
             )
-        if rate >= 0:
-            return math.inf
-        dt = max(diff_now, 0.0) / -rate
-        if dt <= self.options.timing_clamp:
-            dt = 0.0
-        return self.eta + dt
+        return np.where(same, self._time_to_zero(diff_now, rate), math.inf)
 
     def _sign_time(self) -> float:
+        """Time at which the leading zero coordinate's gradient hits zero."""
         if self.zero_count == 0:
             return math.inf
-        val_ref = self.sgrad_val[0]
-        rate = self.sgrad_rate[0]
-        val_now = val_ref + (self.eta - self.eta_ref) * rate
-        if rate >= 0:
-            return math.inf
-        dt = max(val_now, 0.0) / -rate
-        if dt <= self.options.timing_clamp:
-            dt = 0.0
-        return self.eta + dt
+        rate = self.sgrad_rate[:1]
+        return float(self._time_to_zero(
+            self.sgrad_val[:1] + (self.eta - self.eta_ref) * rate, rate)[0])
 
     def _apply_suppressions(self) -> None:
         """Blank out candidates that would exactly undo the event just
@@ -651,6 +521,21 @@ class EngineState:
         self.levels = self.levels + (eta_new - self.eta) * self.slopeG
         self.eta = eta_new
 
+    def step(self, eta: float, kind: str, idx: int) -> tuple[int | None, int | None]:
+        """Advance to ``eta`` and apply the event (kind, idx) reported by
+        :meth:`next_event`; returns its grouped (g, k) labels."""
+        self.advance(eta)
+        self.n_events += 1
+        if kind == "fuse":
+            return self.apply_fuse(idx)
+        if kind == "split":
+            return self.apply_split(idx)
+        if kind == "switch_order":
+            self.apply_switch(idx)
+            return None, idx + 1
+        self.apply_sign_switch()
+        return None, None
+
     def apply_fuse(self, j: int) -> tuple[int, int | None]:
         """Fuse group j with the level below it (the zero group for j=0)."""
         self.n_fuse += 1
@@ -700,17 +585,15 @@ class EngineState:
     def apply_split(self, pos: int) -> tuple[int, int]:
         """Split at a suffix start position; returns grouped (g, k) labels."""
         self.n_split += 1
-        p0 = self.zero_count
-        if pos < p0:
-            members = self.order[pos:p0]
-            self._insert_group_algebra(members, 0)
+        g, k = self.split_label(pos)
+        if g == 0:
+            self._insert_group_algebra(self.order[pos:self.zero_count], 0)
             self.starts = np.concatenate(([pos], self.starts))
             self.levels = np.concatenate(([0.0], self.levels))
             self.slopeG = np.concatenate(([0.0], self.slopeG))
             self._suppress = {"kind": "split", "eta": self.eta, "upper_group": 0}
-            g, k = 0, pos + 1
         else:
-            j = self.group_of_position(pos)
+            j = g - 1
             a, b = self.slice_of_group(j)
             lower = self.order[a:pos]
             upper = self.order[pos:b]
@@ -721,7 +604,6 @@ class EngineState:
             self.levels = np.insert(self.levels, j + 1, self.levels[j])
             self.slopeG = np.insert(self.slopeG, j + 1, self.slopeG[j])
             self._suppress = {"kind": "split", "eta": self.eta, "upper_group": j + 1}
-            g, k = j + 1, pos - a + 1
         self._probe_inverse()
         self.refresh()
         return g, k
@@ -739,10 +621,9 @@ class EngineState:
         nxt_rate = self.suf_rate[k + 2] if k + 2 < end else 0.0
         self.suf_val[k + 1] = self.sgrad_val[k + 1] + nxt
         self.suf_rate[k + 1] = self.sgrad_rate[k + 1] + nxt_rate
-        self.split_t[k + 1] = self._split_time_at(k + 1)
-        for kk in (k - 1, k, k + 1):
-            if 0 <= kk < self.switch_t.size:
-                self.switch_t[kk] = self._switch_time_at(kk)
+        self.split_t[k + 1] = self._split_times(k + 1, k + 2)[0]
+        lo, hi = max(k - 1, 0), min(k + 2, self.switch_t.size)
+        self.switch_t[lo:hi] = self._switch_times(lo, hi)
         # the pair that just swapped cannot immediately swap back
         if self.switch_t.size > k and self.switch_t[k] <= self.eta + self.options.timing_clamp:
             self.switch_t[k] = math.inf
@@ -763,9 +644,8 @@ class EngineState:
         nxt_rate = self.suf_rate[1] if 1 < p0 else 0.0
         self.suf_val[0] = self.sgrad_val[0] + nxt
         self.suf_rate[0] = self.sgrad_rate[0] + nxt_rate
-        self.split_t[0] = self._split_time_at(0)
-        if self.switch_t.size:
-            self.switch_t[0] = self._switch_time_at(0)
+        self.split_t[0] = self._split_times(0, 1)[0]
+        self.switch_t[:1] = self._switch_times(0, min(1, self.switch_t.size))
         self.sign_t = self._sign_time()
         if self.sign_t <= self.eta + self.options.timing_clamp:
             self.sign_t = math.inf
@@ -791,19 +671,8 @@ def next_fuse_times(state: EngineState) -> np.ndarray:
 
 def next_split_times(state: EngineState) -> dict[tuple[int, int], float]:
     """Relative split times keyed by grouped labels (g, k)."""
-    out: dict[tuple[int, int], float] = {}
-    p0 = state.zero_count
-    for pos in range(state.p):
-        t = state.split_t[pos]
-        if math.isinf(t):
-            continue
-        if pos < p0:
-            out[(0, pos + 1)] = t - state.eta
-        else:
-            j = state.group_of_position(pos)
-            a, _ = state.slice_of_group(j)
-            out[(j + 1, pos - a + 1)] = t - state.eta
-    return out
+    return {state.split_label(int(pos)): state.split_t[pos] - state.eta
+            for pos in np.flatnonzero(~np.isinf(state.split_t))}
 
 
 def next_switch_times(state: EngineState) -> tuple[dict[int, float], float]:
@@ -827,16 +696,7 @@ def apply_event(state: EngineState, event: PathEvent) -> EngineState:
         raise ValidationError(
             f"event {event.kind}@{event.eta} is not the queue head ({kind}@{t})"
         )
-    state.advance(t)
-    state.n_events += 1
-    if kind == "fuse":
-        state.apply_fuse(idx)
-    elif kind == "split":
-        state.apply_split(idx)
-    elif kind == "switch_order":
-        state.apply_switch(idx)
-    else:
-        state.apply_sign_switch()
+    state.step(t, kind, idx)
     return state
 
 
@@ -896,18 +756,7 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
                 f"event cap {cap} reached at eta={state.eta!r}; "
                 "raise iteration_cap if the path is genuinely this long"
             )
-        state.advance(t)
-        state.n_events += 1
-        if kind == "fuse":
-            g, k = state.apply_fuse(idx)
-        elif kind == "split":
-            g, k = state.apply_split(idx)
-        elif kind == "switch_order":
-            state.apply_switch(idx)
-            g, k = None, idx + 1
-        else:
-            state.apply_sign_switch()
-            g, k = None, None
+        g, k = state.step(t, kind, idx)
         event = PathEvent(kind=kind, eta=t, g=g, k=k,
                           nnz=state.nnz, n_groups=state.n_groups)
         events.append(event)

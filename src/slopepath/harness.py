@@ -20,13 +20,14 @@ import numpy as np
 from .datagen import ScenarioSpec, generate
 from .engine import PathOptions, run_path
 from .errors import EmptyPathError, ValidationError, ZeroWeightsError
-from .model import SolutionPath, validate_ray
+from .model import SolutionPath, check_weight_order, validate_ray
 from .weights import design_sequence
 
 __all__ = [
     "path_metrics",
     "ExperimentReport",
     "run_experiment",
+    "design_direction",
     "emit_contour",
     "emit_sphericity_curve",
     "DEFAULT_DESIGN_PARAMS",
@@ -138,16 +139,10 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
-def _design_direction(design: str, p: int, n: int, params: dict) -> np.ndarray:
-    if design == "bh":
-        return design_sequence("bh", p, q=params["q_bh"])
-    if design == "gauss":
-        return design_sequence("gauss", p, q=params["q_gauss"], n=n)
-    if design == "oscar":
-        return design_sequence("oscar", p, q=params["q_oscar"])
-    if design == "qs":
-        return design_sequence("qs", p)
-    raise ValidationError(f"unknown design {design!r}")
+def design_direction(design: str, p: int, n: int, params: dict) -> np.ndarray:
+    """Ray direction of a named design, its level taken from ``params``
+    (keys as in :data:`DEFAULT_DESIGN_PARAMS`)."""
+    return design_sequence(design, p, q=params.get(f"q_{design}"), n=n)
 
 
 def _one_replicate(args) -> tuple[int, dict]:
@@ -155,7 +150,7 @@ def _one_replicate(args) -> tuple[int, dict]:
     instance, _ = generate(ScenarioSpec(scenario=scenario, p=p, n=n, seed=seed))
     out = {}
     for design in designs:
-        lam_bar = _design_direction(design, p, n, params)
+        lam_bar = design_direction(design, p, n, params)
         ray = validate_ray(np.zeros(p), lam_bar)
         t0 = time.perf_counter()
         path = run_path(instance, ray, path_options)
@@ -230,8 +225,7 @@ def emit_contour(weights, n_angles: int = 720) -> np.ndarray:
     lam = np.asarray(weights, dtype=float)
     if lam.size < 2:
         raise ValidationError("contour needs at least two weights")
-    if lam[0] < 0 or np.any(np.diff(lam) < 0):
-        raise ValidationError("weights must be ascending and nonnegative")
+    check_weight_order(lam)
     if not np.any(lam > 0):
         raise ZeroWeightsError("weights must not be identically zero")
     phi = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)

@@ -1,7 +1,8 @@
 """Domain types: problem instances, weight rays, groups, paths.
 
 Everything here is regarded as immutable after construction except
-:class:`GroupStructure`, which is confined to a single path run.
+:class:`GroupStructure`, the plain record of one point's groups that the
+structure reader, the grouped-Gram builder and the optimality check share.
 """
 
 from __future__ import annotations
@@ -118,15 +119,13 @@ class GroupStructure:
     shared absolute value ``levels[j]``) occupies
     positions [offsets[j], offsets[j+1]).  ``signs`` holds, per coordinate,
     minus the sign of the coefficient for nonzero coordinates and the sign
-    of the loss gradient for zeroed ones.  ``gram_inverse`` caches the
-    inverse of the grouped Gram (plus the ridge-size diagonal correction).
+    of the loss gradient for zeroed ones.
     """
 
     order: np.ndarray
     offsets: np.ndarray
     levels: np.ndarray
     signs: np.ndarray
-    gram_inverse: np.ndarray | None = None
 
     @property
     def p(self) -> int:
@@ -150,18 +149,11 @@ class GroupStructure:
 
     def groups(self) -> list[np.ndarray]:
         """Index sets [zero group, G_1, ..., G_gbar] in ascending level order."""
-        out = [np.array(self.order[: self.zero_count], dtype=int)]
-        for j in range(self.n_groups):
-            out.append(np.array(self.order[self.member_positions(j)], dtype=int))
-        return out
+        return np.split(np.array(self.order, dtype=int), self.offsets[:-1])
 
     def scatter_beta(self) -> np.ndarray:
         """Full coefficient vector from levels and signs."""
-        beta = np.zeros(self.p)
-        for j in range(self.n_groups):
-            members = self.order[self.member_positions(j)]
-            beta[members] = -self.signs[members] * self.levels[j]
-        return beta
+        return scatter_groups(self.order, self.offsets, self.signs, self.levels)
 
     def check(self, level_tol: float = 0.0) -> None:
         """Assert the partition/ordering invariants (tolerance on ties)."""
@@ -174,6 +166,15 @@ class GroupStructure:
                 raise ValidationError("negative group value")
             if np.any(np.diff(self.levels) < -level_tol):
                 raise ValidationError("group values not ascending")
+
+
+def scatter_groups(order, offsets, signs, grouped) -> np.ndarray:
+    """Coefficient-space vector holding -signs[i] * grouped[j] for every
+    member i of nonzero group j, and zero on the zero group."""
+    members = order[offsets[0]:]
+    out = np.zeros(order.size)
+    out[members] = -signs[members] * np.repeat(grouped, np.diff(offsets))
+    return out
 
 
 @dataclass(frozen=True)
@@ -254,6 +255,15 @@ class SolutionPath:
 
 
 # --- validation ----------------------------------------------------------
+
+
+def check_weight_order(lam, label: str = "weights") -> np.ndarray:
+    """Return ``lam`` as floats; raise ValidationError unless it is
+    ascending and nonnegative."""
+    lam = np.asarray(lam, dtype=float)
+    if lam.size and (lam[0] < 0 or np.any(np.diff(lam) < 0)):
+        raise ValidationError(f"{label} must be ascending and nonnegative")
+    return lam
 
 
 def validate_instance(instance: ProblemInstance) -> ProblemInstance:

@@ -21,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentGroupsError, ValidationError
+from .model import GroupStructure, check_weight_order
 
 __all__ = [
     "OptimalityReport",
-    "derive_groups",
+    "structure_from_beta",
     "signs_and_order",
     "check_optimality",
 ]
@@ -53,28 +54,29 @@ class OptimalityReport:
         return self.worst_violation[3]
 
 
-def derive_groups(beta, tie_tol: float) -> list[np.ndarray]:
-    """Partition coordinates into [zero group, G_1, ..] by absolute value.
+def structure_from_beta(beta, gradient, tol: float) -> GroupStructure:
+    """Read the fused-group structure off a coefficient vector.
 
-    Coordinates with |beta_i| <= tie_tol form the zero group; the rest are
-    chained into clusters whenever consecutive sorted magnitudes are within
-    tie_tol of each other.
+    Coordinates within ``tol`` of zero form the zero group; the rest are
+    chained into shared-value clusters whenever consecutive sorted
+    magnitudes differ by at most ``tol``.  Signs and the within-group
+    order follow :func:`signs_and_order`; each level is the mean magnitude
+    of its cluster.
     """
     beta = np.asarray(beta, dtype=float)
     absb = np.abs(beta)
-    zero = np.flatnonzero(absb <= tie_tol)
-    nonzero = np.flatnonzero(absb > tie_tol)
-    groups = [zero]
-    if nonzero.size:
-        order = nonzero[np.argsort(absb[nonzero], kind="stable")]
-        start = 0
-        vals = absb[order]
-        for i in range(1, order.size):
-            if vals[i] - vals[i - 1] > tie_tol:
-                groups.append(order[start:i])
-                start = i
-        groups.append(order[start:])
-    return groups
+    zero = np.flatnonzero(absb <= tol)
+    nz = np.flatnonzero(absb > tol)
+    nz = nz[np.argsort(absb[nz], kind="stable")]
+    cuts = [0, *(np.flatnonzero(np.diff(absb[nz]) > tol) + 1).tolist(), nz.size] \
+        if nz.size else [0]
+    clusters = [nz[a:b] for a, b in zip(cuts, cuts[1:])]
+    # chained clusters can spread up to (size-1) * tol
+    s, order = signs_and_order(beta, gradient, [zero] + clusters,
+                               level_tol=max(1.0, beta.size) * tol)
+    offsets = zero.size + np.array(cuts)
+    levels = np.add.reduceat(absb[order], offsets[:-1]) / np.diff(offsets)
+    return GroupStructure(order=order, offsets=offsets, levels=levels, signs=s)
 
 
 def signs_and_order(beta, gradient, groups,
@@ -157,8 +159,7 @@ def check_optimality(beta, gradient, weights, tol_eq: float | None = None,
     lam = np.asarray(weights, dtype=float)
     if lam.shape != beta.shape:
         raise ValidationError("weights must match beta in length")
-    if lam.size and (lam[0] < 0 or np.any(np.diff(lam) < 0)):
-        raise ValidationError("weights must be ascending and nonnegative")
+    check_weight_order(lam)
 
     scale_l = 1.0 + (float(np.max(lam)) if lam.size else 0.0)
     if tol_eq is None:
@@ -169,16 +170,10 @@ def check_optimality(beta, gradient, weights, tol_eq: float | None = None,
         scale_b = 1.0 + (float(np.max(np.abs(beta))) if beta.size else 0.0)
         tie_tol = 1e-8 * scale_b
 
-    groups = derive_groups(beta, tie_tol)
-    # chained clusters can spread up to (size-1) * tie_tol, so relax the
-    # member-consistency bound accordingly
-    s, order = signs_and_order(beta, gradient, groups,
-                               level_tol=max(1.0, beta.size) * tie_tol)
-
-    sgrad = s[order] * gradient[order]
+    structure = structure_from_beta(beta, gradient, tie_tol)
+    sgrad = structure.signs[structure.order] * gradient[structure.order]
     # group boundaries in position space: zero group first, then ascending
-    sizes = [len(groups[0])] + [len(g) for g in groups[1:]]
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    bounds = np.concatenate(([0], structure.offsets))
 
     cond1 = []
     margins: list[tuple[int, int, float]] = []
@@ -189,7 +184,7 @@ def check_optimality(beta, gradient, weights, tol_eq: float | None = None,
         if violation > worst[3]:
             worst = (cond, g, k, violation)
 
-    for g in range(len(sizes)):
+    for g in range(bounds.size - 1):
         a, b = int(bounds[g]), int(bounds[g + 1])
         if a == b:
             continue

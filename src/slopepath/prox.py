@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DidNotConvergeError, ValidationError
-from .model import ProblemInstance
+from .model import ProblemInstance, check_weight_order
 from .optimality import OptimalityReport, check_optimality
 
 __all__ = ["sorted_l1_prox", "SolverOptions", "SolveResult", "solve_slope"]
@@ -32,8 +32,7 @@ def sorted_l1_prox(v, weights) -> np.ndarray:
     lam = np.asarray(weights, dtype=float)
     if v.shape != lam.shape or v.ndim != 1:
         raise ValidationError("v and weights must be 1-d vectors of equal length")
-    if lam.size and (lam[0] < 0 or np.any(np.diff(lam) < 0)):
-        raise ValidationError("weights must be ascending and nonnegative")
+    check_weight_order(lam)
 
     p = v.size
     order = np.argsort(-np.abs(v), kind="stable")
@@ -139,8 +138,7 @@ def solve_slope(instance: ProblemInstance, weights,
     lam = np.asarray(weights, dtype=float)
     if lam.size != instance.p:
         raise ValidationError("weights must have one entry per column of X")
-    if lam.size and (lam[0] < 0 or np.any(np.diff(lam) < 0)):
-        raise ValidationError("weights must be ascending and nonnegative")
+    check_weight_order(lam)
 
     tol = options.stop_tolerance * (1.0 + float(np.max(lam, initial=0.0)))
 

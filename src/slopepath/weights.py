@@ -20,6 +20,7 @@ from .errors import (
     ValidationError,
     ZeroWeightsError,
 )
+from .model import check_weight_order
 
 __all__ = [
     "normal_quantile",
@@ -101,9 +102,7 @@ def _check_ascending_nonnegative(lam: np.ndarray, label: str) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if lam.ndim != 1 or lam.size == 0:
         raise ValidationError(f"{label} must be a nonempty 1-d vector")
-    if lam[0] < 0 or np.any(np.diff(lam) < 0):
-        raise ValidationError(f"{label} must be ascending and nonnegative")
-    return lam
+    return check_weight_order(lam, label)
 
 
 def bh_sequence(p: int, q: float) -> np.ndarray:

@@ -7,12 +7,15 @@ import pytest
 from slopepath import (
     EngineState,
     GroupStructure,
+    PathEvent,
     PathOptions,
     ProblemInstance,
     WeightRay,
+    bh_sequence,
     check_optimality,
     eval_path,
     grouped_design,
+    qs_sequence,
     run_path,
     segment_solution,
     solve_slope,
@@ -20,8 +23,13 @@ from slopepath import (
     validate_ray,
 )
 from slopepath.datagen import ScenarioSpec, generate
-from slopepath.engine import next_fuse_times, next_split_times, next_switch_times
-from slopepath.errors import IterationCapError
+from slopepath.engine import (
+    apply_event,
+    next_fuse_times,
+    next_split_times,
+    next_switch_times,
+)
+from slopepath.errors import IterationCapError, ValidationError
 
 
 def make_state(instance, ray, options=None):
@@ -188,6 +196,35 @@ class TestApplyEvents:
         assert terminal.kind == "terminate"
         assert terminal.nnz == 0 and terminal.n_groups == 0
 
+    def test_apply_event_at_queue_head_matches_path_step(self):
+        stepped, applied = _bh8_state(), _bh8_state()
+        path = run_path(stepped.instance, stepped.ray)
+        for event in path.events[:25]:
+            t, kind, idx = stepped.next_event()
+            assert (kind, t) == (event.kind, event.eta)
+            assert stepped.step(t, kind, idx) == (event.g, event.k)
+            assert apply_event(applied, PathEvent(kind=kind, eta=t)) is applied
+            for name in ("order", "starts", "s", "levels", "slopeG", "split_t",
+                         "switch_t", "fuse_t"):
+                assert np.array_equal(getattr(applied, name), getattr(stepped, name))
+            assert (applied.eta, applied.sign_t, applied.n_events) \
+                == (stepped.eta, stepped.sign_t, stepped.n_events)
+
+    def test_apply_event_rejects_non_head_event(self):
+        state = _bh8_state()
+        t, kind, _ = state.next_event()
+        other = "split" if kind != "split" else "fuse"
+        with pytest.raises(ValidationError):
+            apply_event(state, PathEvent(kind=other, eta=t))
+        with pytest.raises(ValidationError):
+            apply_event(state, PathEvent(kind=kind, eta=t + 1.0))
+        assert state.n_events == 0 and state.eta == 0.0
+
+
+def _bh8_state():
+    inst, _ = generate(ScenarioSpec(scenario=1, p=8, n=40, seed=21))
+    return make_state(inst, validate_ray(np.zeros(8), bh_sequence(8, 0.1)))
+
 
 def _state_with_pending_switch(max_seed=200):
     """Search small instances for a state whose next event is a switch."""
@@ -207,14 +244,7 @@ def _state_with_pending_switch(max_seed=200):
                 break
             if kind == "switch_order":
                 return state
-            state.advance(t)
-            state.n_events += 1
-            if kind == "fuse":
-                state.apply_fuse(idx)
-            elif kind == "split":
-                state.apply_split(idx)
-            else:
-                state.apply_sign_switch()
+            state.step(t, kind, idx)
     del rng_master
     raise RuntimeError("no switch event found in the search budget")
 
@@ -351,17 +381,8 @@ class TestRunPath:
                 gap_now = (state.levels[idx] - state.levels[idx - 1]
                            + (t - state.eta) * (state.slopeG[idx] - state.slopeG[idx - 1]))
                 assert abs(gap_now) <= 1e-9 * (1.0 + state.levels[idx])
-            state.advance(t)
-            state.n_events += 1
+            state.step(t, kind, idx)
             events += 1
-            if kind == "fuse":
-                state.apply_fuse(idx)
-            elif kind == "split":
-                state.apply_split(idx)
-            elif kind == "switch_order":
-                state.apply_switch(idx)
-            else:
-                state.apply_sign_switch()
             beta = state.scatter_beta()
             lam = ray.at(state.eta)
             tol = 1e-7 * (1.0 + lam.max())
@@ -386,19 +407,34 @@ class TestStructureFromBeta:
     def test_reads_groups_and_signs(self):
         beta = np.array([2.0, -2.0, 0.0, 0.5])
         gradient = np.array([0.1, 0.2, -0.3, 0.4])
-        order, offsets, levels, s = structure_from_beta(beta, gradient, tol=1e-9)
-        assert offsets.tolist() == [1, 2, 4]
-        assert order.tolist() == [2, 3, 0, 1] or order.tolist() == [2, 3, 1, 0]
-        assert levels == pytest.approx([0.5, 2.0])
+        structure = structure_from_beta(beta, gradient, tol=1e-9)
+        assert structure.offsets.tolist() == [1, 2, 4]
+        assert structure.order.tolist() in ([2, 3, 0, 1], [2, 3, 1, 0])
+        assert structure.levels == pytest.approx([0.5, 2.0])
+        s = structure.signs
         assert s[0] == -1.0 and s[1] == 1.0 and s[3] == -1.0
         assert s[2] == -1.0  # sign of the (negative) gradient
 
     def test_all_zero(self):
-        order, offsets, levels, s = structure_from_beta(
-            np.zeros(3), np.array([0.5, -0.1, 0.2]), tol=1e-9)
-        assert offsets.tolist() == [3]
-        assert levels.size == 0
-        assert order.tolist() == [1, 2, 0]
+        structure = structure_from_beta(np.zeros(3), np.array([0.5, -0.1, 0.2]), tol=1e-9)
+        assert structure.offsets.tolist() == [3]
+        assert structure.levels.size == 0
+        assert structure.order.tolist() == [1, 2, 0]
+
+    def test_engine_start_matches_optimality_reading(self):
+        # a nonzero lam0 start has zeroed and fused coordinates; the engine
+        # must read the same groups, signs and order as the optimality check
+        inst, _ = generate(ScenarioSpec(scenario=2, p=8, n=30, seed=3))
+        lam0 = 8.0 * bh_sequence(8, 0.2)
+        beta0 = solve_slope(inst, lam0).beta
+        gradient = inst.gradient(beta0)
+        read = structure_from_beta(beta0, gradient, 1e-8 * (1.0 + np.max(np.abs(beta0))))
+        assert read.zero_count > 0 and np.any(read.group_sizes() > 1)
+        assert check_optimality(beta0, gradient, lam0).optimal
+        state = EngineState(inst, validate_ray(lam0, qs_sequence(8)), beta0, PathOptions())
+        assert np.array_equal(state.order, read.order)
+        assert np.array_equal(state.starts, read.offsets)
+        assert np.array_equal(state.s, read.signs)
 
 
 class TestSwitchCost:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from slopepath import (
+    GroupStructure,
     PathEvent,
     PathSegment,
     ProblemInstance,
@@ -27,6 +28,22 @@ from slopepath.errors import (
     ZeroDirectionError,
 )
 from slopepath.model import instance_hash
+
+
+class TestGroupStructure:
+    def test_scatter_matches_group_loop(self):
+        rng = np.random.default_rng(4)
+        order = rng.permutation(9)
+        offsets = np.array([2, 3, 6, 9])  # zero group of two, then 1, 3, 3
+        levels = np.array([0.5, 1.25, 3.0])
+        signs = rng.choice([-1.0, 1.0], size=9)
+        structure = GroupStructure(order, offsets, levels, signs)
+        expected = np.zeros(9)
+        for j, members in enumerate(structure.groups()[1:]):
+            expected[members] = -signs[members] * levels[j]
+        beta = structure.scatter_beta()
+        assert np.array_equal(beta, expected)
+        assert not np.any(np.signbit(beta[order[:2]]))  # +0.0 on the zero group
 
 
 class TestValidateInstance:

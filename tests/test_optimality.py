@@ -1,20 +1,23 @@
 import numpy as np
 import pytest
 
-from slopepath import ProblemInstance, check_optimality, signs_and_order
+from slopepath import ProblemInstance, check_optimality, signs_and_order, structure_from_beta
 from slopepath.errors import InconsistentGroupsError
-from slopepath.optimality import derive_groups
 
 from conftest import grid_minimize, random_ascending_weights
 
 
+def _groups(beta, tol):
+    return structure_from_beta(beta, np.zeros(len(beta)), tol).groups()
+
+
 class TestDeriveGroups:
     def test_distinct_values_are_singletons(self):
-        groups = derive_groups(np.array([2.0, 1.0]), tie_tol=1e-9)
+        groups = _groups(np.array([2.0, 1.0]), tol=1e-9)
         assert [g.tolist() for g in groups] == [[], [1], [0]]
 
     def test_ties_cluster(self):
-        groups = derive_groups(np.array([1.0, -1.0, 0.0, 2.0]), tie_tol=1e-9)
+        groups = _groups(np.array([1.0, -1.0, 0.0, 2.0]), tol=1e-9)
         assert [sorted(g.tolist()) for g in groups] == [[2], [0, 1], [3]]
 
 
