@@ -146,7 +146,8 @@ def _cmd_path(args) -> int:
     sys.stderr.write(
         f"{len(path.segments)} segments, {diag['events']} events "
         f"({diag['fuse_events']} fuse, {diag['split_events']} split, "
-        f"{diag['switch_events'] + diag['sign_switch_events']} switch)\n"
+        f"{diag['switch_events'] + diag['sign_switch_events']} switch), "
+        f"min Schur ratio {diag['min_schur_ratio']}\n"
     )
     return 0
 

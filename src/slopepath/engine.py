@@ -1,13 +1,22 @@
 """Exact piecewise-linear solution paths for sorted-L1 penalized least squares.
 
 The engine maintains the fused-group structure of the solution while the
-weights move along a ray lam(eta) = lam0 + eta * lam_bar.  Within one
-structure the grouped values are affine in eta:
+weights move along a ray lam(eta) = lam0 + eta * lam_bar.  It reads the
+data only through the Gram matrix G = X^T X and X^T y, both formed once
+per run.  With S the signed membership matrix of the nonzero groups
+(column j holds -s_i for each member i of group j), the grouped values are
+affine in eta within one structure:
 
-    levels(eta) = Ainv (XG^T y - lamG(eta)),   d levels / d eta = -Ainv lamG_bar
+    levels(eta) = Ainv (S^T X^T y - lamG(eta)),   d levels / d eta = -Ainv lamG_bar
 
-where XG stacks the signed grouped columns and Ainv is the cached inverse
-of XG^T XG plus the ridge-size diagonal.  Three event families end a
+where Ainv is the cached inverse of A = S^T G S plus the ridge-size
+diagonal.  The coefficient-space gradient terms are c = X^T y - G beta and
+d = G slope, and a group entering A borders it with the grouped rows of
+G times its signed members; nothing in the event loop has length n.
+Past the set-up of :class:`EngineState`, X is read only by the
+from-scratch oracle (:func:`grouped_design`, :func:`segment_solution`,
+:meth:`EngineState.scratch_check`), which stays independent of the
+Gram-space updates it checks.  Three event families end a
 segment: adjacent group values colliding (fuse, including a group hitting
 zero), a grouped inequality margin reaching zero (split, including
 activations out of the zero group), and the within-group gradient order
@@ -92,10 +101,6 @@ class PathOptions:
     check_invariants: bool = False
 
 
-def _group_column(X: np.ndarray, signs: np.ndarray, members: np.ndarray) -> np.ndarray:
-    return -(X[:, members] * signs[members]).sum(axis=1)
-
-
 def _group_ydot(Xty: np.ndarray, signs: np.ndarray, members: np.ndarray) -> float:
     return float(-(signs[members] * Xty[members]).sum())
 
@@ -107,17 +112,16 @@ def grouped_design(structure: GroupStructure, X: np.ndarray) -> np.ndarray:
     convention that is -sum s_i x_i.  The zero group contributes nothing.
     """
     X = np.asarray(X, dtype=float)
-    cols = [_group_column(X, structure.signs, g) for g in structure.groups()[1:]]
+    cols = [-(X[:, g] * structure.signs[g]).sum(axis=1) for g in structure.groups()[1:]]
     return np.column_stack(cols) if cols else np.zeros((X.shape[0], 0))
 
 
 def _grouped_system(structure: GroupStructure, X: np.ndarray, Xty: np.ndarray,
-                    ridge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """From-scratch (XG, XG^T y, A) with A = XG^T XG + ridge * diag(sizes)."""
+                    ridge: float) -> tuple[np.ndarray, np.ndarray]:
+    """From-scratch (XG^T y, A) with A = XG^T XG + ridge * diag(sizes)."""
     XG = grouped_design(structure, X)
     XGty = np.array([_group_ydot(Xty, structure.signs, g) for g in structure.groups()[1:]])
-    A = XG.T @ XG + ridge * np.diag(structure.group_sizes().astype(float))
-    return XG, XGty, A
+    return XGty, XG.T @ XG + ridge * np.diag(structure.group_sizes().astype(float))
 
 
 def _grouped_weight_sums(cum0: np.ndarray, cumbar: np.ndarray,
@@ -139,8 +143,8 @@ def segment_solution(structure: GroupStructure, instance: ProblemInstance,
     levels = Ainv (XG^T y - lamG(eta)) and slope = -Ainv lamG_bar with
     A = XG^T XG + ridge * diag(group sizes).
     """
-    _, XGty, A = _grouped_system(structure, instance.X, instance.X.T @ instance.y,
-                                 instance.ridge)
+    XGty, A = _grouped_system(structure, instance.X, instance.X.T @ instance.y,
+                              instance.ridge)
     lam0g, lambarg = _grouped_weight_sums(_prefix_sums(ray.lam0),
                                           _prefix_sums(ray.lam_bar), structure.offsets)
     if not A.size:
@@ -154,17 +158,6 @@ def segment_solution(structure: GroupStructure, instance: ProblemInstance,
 def _inv_delete(B: np.ndarray, j: int) -> np.ndarray:
     keep = np.delete(np.arange(B.shape[0]), j)
     return B[np.ix_(keep, keep)] - np.outer(B[keep, j], B[j, keep]) / B[j, j]
-
-
-def _inv_insert(B: np.ndarray, a: np.ndarray, alpha: float, at: int) -> np.ndarray:
-    """Inverse after bordering with cross products ``a`` and diagonal
-    ``alpha``, then moving the new index to position ``at``.  Raises
-    NumericalError when the Schur complement is not positive."""
-    v = B @ a
-    schur = alpha - float(a @ v)
-    if schur <= 0:
-        raise NumericalError("non-positive Schur complement in bordered insert")
-    return _sym_insert(B + np.outer(v, v) / schur, -v / schur, 1.0 / schur, at)
 
 
 def _sym_delete(M: np.ndarray, j: int) -> np.ndarray:
@@ -191,25 +184,35 @@ def _sym_insert(M: np.ndarray, a: np.ndarray, alpha: float, at: int) -> np.ndarr
 
 
 class EngineState:
-    """Mutable state of one path run.
+    """Mutable state of one path run, held in Gram form.
 
     Positions are 0-based: the zero group occupies positions
     [0, starts[0]) of ``order`` and nonzero group j (ascending level)
     occupies [starts[j], starts[j+1]).  All event times are absolute eta
     values; ``inf`` marks an event that cannot happen under the current
     structure.
+
+    The data enter through ``G`` = X^T X (p x p, without the ridge) and
+    ``Xty`` = X^T y; ``run_path`` forms them once and passes them in, and
+    they are formed here when not given.  ``refresh`` takes the gradient
+    terms c = Xty - G beta and d = G slope from them, and a bordered insert
+    takes its column from the grouped rows of G.  ``A``/``Ainv`` are the
+    grouped Gram S^T G S + ridge * diag(sizes) and its cached inverse, and
+    ``XGty`` = S^T Xty.  Only :meth:`scratch_check` reads the raw X after
+    set-up.
     """
 
     def __init__(self, instance: ProblemInstance, ray: WeightRay,
-                 beta0: np.ndarray, options: PathOptions):
+                 beta0: np.ndarray, options: PathOptions,
+                 G: np.ndarray | None = None, Xty: np.ndarray | None = None):
         self.instance = instance
         self.ray = ray
         self.options = options
-        self.X = instance.X
-        self.y = instance.y
         self.ridge = instance.ridge
-        self.n, self.p = instance.X.shape
-        self.Xty = instance.X.T @ instance.y
+        self.p = instance.p
+        self.G = instance.X.T @ instance.X if G is None else G
+        self.Xty = instance.X.T @ instance.y if Xty is None else Xty
+        self.min_schur_ratio: float | None = None
         self.cum0 = _prefix_sums(ray.lam0)
         self.cumbar = _prefix_sums(ray.lam_bar)
 
@@ -217,7 +220,7 @@ class EngineState:
         tol = options.group_tol_scale * (1.0 + float(np.max(np.abs(beta0), initial=0.0)))
         structure = structure_from_beta(beta0, instance.gradient(beta0), tol)
         self.order, self.starts, self.s = structure.order, structure.offsets, structure.signs
-        self.XG, self.XGty, self.A = _grouped_system(structure, self.X, self.Xty, self.ridge)
+        self.XGty, self.A = _grouped_system(structure, instance.X, self.Xty, self.ridge)
         self.Ainv = np.linalg.inv(self.A) if self.n_groups else np.zeros((0, 0))
 
         # event bookkeeping
@@ -290,32 +293,44 @@ class EngineState:
             self.fallbacks += 1
 
     def _delete_group_algebra(self, j: int) -> None:
-        self.XG = np.delete(self.XG, j, axis=1)
         self.XGty = np.delete(self.XGty, j)
         self.Ainv = _inv_delete(self.Ainv, j) if self.A.shape[0] > 1 else np.zeros((0, 0))
         self.A = _sym_delete(self.A, j)
 
-    def _insert_group_algebra(self, members: np.ndarray, at: int) -> None:
-        col = _group_column(self.X, self.s, members)
-        a = self.XG.T @ col
-        alpha = float(col @ col) + self.ridge * members.size
-        try:
-            self.Ainv = _inv_insert(self.Ainv, a, alpha, at)
-        except NumericalError:
-            self.A = _sym_insert(self.A, a, alpha, at)
+    def _insert_group_algebra(self, k: int, absent: int = 1) -> None:
+        """Border A and Ainv with nonzero group k of ``starts``, at index k.
+
+        A must hold every group of ``starts`` except k .. k + absent - 1
+        (a split inserts its two halves one at a time), so its columns are
+        not those of the old structure: ``starts`` is updated first.  The
+        cross products are the grouped rows of w = G S_k, entry j being the
+        sum of -s_i w_i over the members i of group j."""
+        starts = self.starts
+        members = self.order[starts[k]:starts[k + 1]]
+        w = -self.s[members] @ self.G[members]
+        sums = np.add.reduceat(-self.s[self.order] * w[self.order], starts[:-1])
+        alpha = float(sums[k]) + self.ridge * members.size
+        a = np.delete(sums, slice(k, k + absent))
+        v = self.Ainv @ a
+        schur = alpha - float(a @ v)
+        ratio = schur / alpha
+        if self.min_schur_ratio is None or ratio < self.min_schur_ratio:
+            self.min_schur_ratio = ratio
+        self.A = _sym_insert(self.A, a, alpha, k)
+        if schur > 0:
+            self.Ainv = _sym_insert(self.Ainv + np.outer(v, v) / schur,
+                                    -v / schur, 1.0 / schur, k)
+        else:
             self.Ainv = np.linalg.inv(self.A)
             self.fallbacks += 1
-        else:
-            self.A = _sym_insert(self.A, a, alpha, at)
-        self.XG = np.insert(self.XG, at, col, axis=1)
-        self.XGty = np.insert(self.XGty, at, _group_ydot(self.Xty, self.s, members))
+        self.XGty = np.insert(self.XGty, k, _group_ydot(self.Xty, self.s, members))
 
     def scratch_check(self) -> float:
         """Relative Frobenius error of the cached inverse against a fresh
         rebuild of the grouped Gram from the raw design."""
         if self.n_groups == 0:
             return 0.0
-        _, _, A = _grouped_system(self.to_structure(), self.X, self.Xty, self.ridge)
+        _, A = _grouped_system(self.to_structure(), self.instance.X, self.Xty, self.ridge)
         fresh = np.linalg.inv(A)
         denom = float(np.linalg.norm(fresh))
         return float(np.linalg.norm(self.Ainv - fresh)) / max(denom, 1e-300)
@@ -338,17 +353,16 @@ class EngineState:
                 f"group values not strictly ordered at eta={self.eta!r}: {self.levels}"
             )
 
-        r = self.y - self.XG @ self.levels
-        u = self.XG @ self.slopeG
-        c = self.X.T @ r
-        d = self.X.T @ u
-
         o = self.order
+        c = self.Xty - self.G @ scatter_groups(o, self.starts, self.s, self.levels)
+        d = self.G @ scatter_groups(o, self.starts, self.s, self.slopeG)
+
         so = self.s[o]
         sizes = np.diff(np.concatenate(([0], self.starts)))
         level_pos = np.repeat(np.concatenate(([0.0], self.levels)), sizes)
         slope_pos = np.repeat(np.concatenate(([0.0], self.slopeG)), sizes)
 
+        # the ridge enters here only: G is the plain X^T X
         self.sgrad_val = -so * c[o] - self.ridge * level_pos
         self.sgrad_rate = so * d[o] - self.ridge * slope_pos
 
@@ -546,16 +560,15 @@ class EngineState:
             self.starts = np.delete(self.starts, 0)
             self.levels = np.delete(self.levels, 0)
             self.slopeG = np.delete(self.slopeG, 0)
-            # fresh gradient for the newly zeroed coordinates, then keep the
-            # zero slice sorted by |gradient|
-            r = self.y - self.XG @ self.levels
-            grad = -(self.X[:, members].T @ r)
-            self.s[members] = np.where(grad >= 0, 1.0, -1.0)
-            p0 = self.zero_count
-            zero_members = self.order[:p0]
-            zgrad = -(self.X[:, zero_members].T @ r)
-            key = np.abs(zgrad)
-            self.order[:p0] = zero_members[np.lexsort((zero_members, key))]
+            # fresh gradient -c = G beta - Xty of the zero slice, whose tail
+            # holds the newly zeroed coordinates: re-sign those, then keep
+            # the slice sorted by |gradient|
+            beta = scatter_groups(self.order, self.starts, self.s, self.levels)
+            zero_members = self.order[:self.zero_count]
+            zgrad = self.G[zero_members] @ beta - self.Xty[zero_members]
+            self.s[members] = np.where(zgrad[-members.size:] >= 0, 1.0, -1.0)
+            self.order[:self.zero_count] = zero_members[np.lexsort((zero_members,
+                                                                    np.abs(zgrad)))]
             self._suppress = {"kind": "death", "eta": self.eta,
                               "members": set(int(i) for i in members)}
         else:
@@ -567,11 +580,10 @@ class EngineState:
             sg_now = self.sgrad_val[lo_a:hi_b] + (self.eta - self.eta_ref) \
                 * self.sgrad_rate[lo_a:hi_b]
             self.order[lo_a:hi_b] = members[np.lexsort((members, sg_now))]
-            merged_members = self.order[lo_a:hi_b]
             self._delete_group_algebra(j)
             self._delete_group_algebra(j - 1)
-            self._insert_group_algebra(merged_members, j - 1)
             self.starts = np.delete(self.starts, j)
+            self._insert_group_algebra(j - 1)
             lvl = self.levels[j - 1]
             self.levels = np.delete(self.levels, j)
             self.levels[j - 1] = lvl
@@ -587,20 +599,17 @@ class EngineState:
         self.n_split += 1
         g, k = self.split_label(pos)
         if g == 0:
-            self._insert_group_algebra(self.order[pos:self.zero_count], 0)
             self.starts = np.concatenate(([pos], self.starts))
+            self._insert_group_algebra(0)
             self.levels = np.concatenate(([0.0], self.levels))
             self.slopeG = np.concatenate(([0.0], self.slopeG))
             self._suppress = {"kind": "split", "eta": self.eta, "upper_group": 0}
         else:
             j = g - 1
-            a, b = self.slice_of_group(j)
-            lower = self.order[a:pos]
-            upper = self.order[pos:b]
             self._delete_group_algebra(j)
-            self._insert_group_algebra(lower, j)
-            self._insert_group_algebra(upper, j + 1)
             self.starts = np.insert(self.starts, j + 1, pos)
+            self._insert_group_algebra(j, absent=2)
+            self._insert_group_algebra(j + 1)
             self.levels = np.insert(self.levels, j + 1, self.levels[j])
             self.slopeG = np.insert(self.slopeG, j + 1, self.slopeG[j])
             self._suppress = {"kind": "split", "eta": self.eta, "upper_group": j + 1}
@@ -703,14 +712,13 @@ def apply_event(state: EngineState, event: PathEvent) -> EngineState:
 # --- the path driver --------------------------------------------------------
 
 
-def _initial_beta(instance: ProblemInstance, ray: WeightRay,
-                  options: PathOptions) -> np.ndarray:
+def _initial_beta(instance: ProblemInstance, ray: WeightRay, options: PathOptions,
+                  G: np.ndarray, Xty: np.ndarray) -> np.ndarray:
     if np.any(ray.lam0 != 0):
         return solve_slope(instance, ray.lam0, options.solver).beta
-    gram = instance.X.T @ instance.X
     if instance.ridge:
-        gram = gram + instance.ridge * np.eye(instance.p)
-    return np.linalg.solve(gram, instance.X.T @ instance.y)
+        G = G + instance.ridge * np.eye(instance.p)
+    return np.linalg.solve(G, Xty)
 
 
 def run_path(instance: ProblemInstance, ray: WeightRay,
@@ -733,8 +741,9 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
     cap = options.iteration_cap if options.iteration_cap is not None \
         else 50 * instance.p * instance.p
 
-    beta0 = _initial_beta(instance, ray, options)
-    state = EngineState(instance, ray, beta0, options)
+    G, Xty = instance.X.T @ instance.X, instance.X.T @ instance.y
+    beta0 = _initial_beta(instance, ray, options, G, Xty)
+    state = EngineState(instance, ray, beta0, options, G, Xty)
 
     segments: list[PathSegment] = []
     events: list[PathEvent] = []
@@ -783,6 +792,7 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
             "switch_events": state.n_switch,
             "sign_switch_events": state.n_sign_switch,
             "fallback_refactorizations": state.fallbacks,
+            "min_schur_ratio": state.min_schur_ratio,
             "gram_checks": [[i, err] for i, err in state.gram_checks],
         },
     }

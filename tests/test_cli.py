@@ -30,7 +30,7 @@ class TestWeightsCommand:
 
 
 class TestSimulateAndPath:
-    def test_end_to_end(self, tmp_path):
+    def test_end_to_end(self, tmp_path, capsys):
         inst_file = tmp_path / "inst.csv"
         truth_file = tmp_path / "beta.csv"
         assert run_cli(["simulate", "--scenario", "2", "--p", "4", "--n", "16",
@@ -48,6 +48,8 @@ class TestSimulateAndPath:
         path = load_path(path_file)
         assert path.segments
         assert path.provenance["diagnostics"]["events"] >= 1
+        ratio = path.provenance["diagnostics"]["min_schur_ratio"]
+        assert f"min Schur ratio {ratio}" in capsys.readouterr().err
 
         header, *rows = events_file.read_text().strip().splitlines()
         assert header == "index,eta,kind,g,k"

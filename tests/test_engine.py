@@ -437,6 +437,81 @@ class TestStructureFromBeta:
         assert np.array_equal(state.s, read.signs)
 
 
+def _gram_case(name):
+    """(instance, ray) for the Gram-form tests."""
+    if name == "tall":
+        inst, _ = generate(ScenarioSpec(scenario=1, p=8, n=800, seed=4))
+        return inst, validate_ray(np.zeros(8), qs_sequence(8))
+    if name == "wide_ridge":
+        inst, _ = generate(ScenarioSpec(scenario=1, p=12, n=8, seed=2))
+        inst = ProblemInstance(y=inst.y, X=inst.X, ridge=0.5)
+        return inst, validate_ray(np.zeros(12), bh_sequence(12, 0.1))
+    if name == "lam0":
+        inst, _ = generate(ScenarioSpec(scenario=1, p=10, n=100, seed=6))
+        return inst, validate_ray(0.5 * bh_sequence(10, 0.1), qs_sequence(10))
+    inst, _ = generate(ScenarioSpec(scenario=2, p=8, n=16, seed=3))
+    return inst, validate_ray(np.zeros(8), bh_sequence(8, 0.2))
+
+
+class TestGramForm:
+    @pytest.mark.parametrize("name", ["tall", "wide_ridge"])
+    def test_path_depends_on_data_only_through_gram(self, name):
+        # ([X; 0], [y; 0]) and (QX, Qy) share X^T X and X^T y with (X, y)
+        inst, ray = _gram_case(name)
+        n = inst.n
+        Q, _ = np.linalg.qr(np.random.default_rng(11).standard_normal((n, n)))
+        variants = [
+            ProblemInstance(y=np.concatenate((inst.y, np.zeros(3))),
+                            X=np.vstack((inst.X, np.zeros((3, inst.p)))), ridge=inst.ridge),
+            ProblemInstance(y=Q @ inst.y, X=Q @ inst.X, ridge=inst.ridge),
+        ]
+        events = list(run_path(inst, ray).breakpoints())
+        assert len(events) >= 10
+        for other in variants:
+            moved = list(run_path(other, ray).breakpoints())
+            assert [e.kind for e in moved] == [e.kind for e in events]
+            assert [e.eta for e in moved] == pytest.approx([e.eta for e in events],
+                                                           rel=1e-9)
+
+    @pytest.mark.parametrize("name", ["tall", "wide_ridge", "lam0", "integer"])
+    def test_gram_gradient_matches_raw_design(self, name):
+        inst, ray = _gram_case(name)
+        if np.any(ray.lam0):
+            beta0 = solve_slope(inst, ray.lam0).beta
+        else:
+            gram = inst.X.T @ inst.X + inst.ridge * np.eye(inst.p)
+            beta0 = np.linalg.solve(gram, inst.X.T @ inst.y)
+        state = EngineState(inst, ray, beta0, PathOptions())
+        kinds = set()
+        while True:
+            beta = state.scatter_beta()
+            # residual correlations from the raw design; the ridge term is
+            # added once, as the engine adds it
+            c = inst.X.T @ (inst.y - inst.X @ beta)
+            o = state.order
+            expected = -state.s[o] * c[o] - inst.ridge * np.abs(beta[o])
+            now = state.sgrad_val + (state.eta - state.eta_ref) * state.sgrad_rate
+            scale = 1.0 + float(np.max(np.abs(inst.gradient(beta))))
+            assert np.max(np.abs(now - expected)) <= 1e-9 * scale, \
+                f"after {state.n_events} events"
+            t, kind, idx = state.next_event()
+            if math.isinf(t):
+                break
+            state.step(t, kind, idx)
+            kinds.add(kind)
+        assert {"fuse", "split"} <= kinds
+
+    def test_min_schur_ratio(self):
+        inst, ray = _gram_case("tall")
+        ratio = run_path(inst, ray).provenance["diagnostics"]["min_schur_ratio"]
+        assert 0.0 < ratio <= 1.0
+        # one coordinate only ever dies: no group is inserted
+        single = ProblemInstance(y=np.array([2.0, 1.0]), X=np.array([[1.0], [0.5]]))
+        path = run_path(single, validate_ray(np.zeros(1), np.ones(1)))
+        assert [e.kind for e in path.breakpoints()] == ["fuse"]
+        assert path.provenance["diagnostics"]["min_schur_ratio"] is None
+
+
 class TestSwitchCost:
     def test_switch_handling_does_not_grow_with_dimension(self):
         """Per-switch work depends on the group sizes, not on p."""
