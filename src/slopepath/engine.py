@@ -1,22 +1,21 @@
 """Exact piecewise-linear solution paths for sorted-L1 penalized least squares.
 
 The engine maintains the fused-group structure of the solution while the
-weights move along a ray lam(eta) = lam0 + eta * lam_bar.  It reads the
-data only through the Gram matrix G = X^T X and X^T y, both formed once
-per run.  With S the signed membership matrix of the nonzero groups
-(column j holds -s_i for each member i of group j), the grouped values are
-affine in eta within one structure:
+weights move along a ray lam(eta) = lam0 + eta * lam_bar.  With S the
+signed membership matrix of the nonzero groups (column j holds -s_i for
+each member i of group j) and XG = X S, the grouped values are affine in
+eta within one structure:
 
     levels(eta) = Ainv (S^T X^T y - lamG(eta)),   d levels / d eta = -Ainv lamG_bar
 
-where Ainv is the cached inverse of A = S^T G S plus the ridge-size
-diagonal.  The coefficient-space gradient terms are c = X^T y - G beta and
-d = G slope, and a group entering A borders it with the grouped rows of
-G times its signed members; nothing in the event loop has length n.
-Past the set-up of :class:`EngineState`, X is read only by the
-from-scratch oracle (:func:`grouped_design`, :func:`segment_solution`,
-:meth:`EngineState.scratch_check`), which stays independent of the
-Gram-space updates it checks.  Three event families end a
+where Ainv is the cached inverse of A = XG^T XG plus the ridge-size
+diagonal.  The gradient terms c = X^T y - G beta and d = G slope come from
+G = X^T X and X^T y, formed once per run, read on the nonzero coordinates
+only (O(p * nnz) per refresh).  XG is never held: a group entering A
+borders it with the cross products of its column x_k = X S_k (O(n p) per
+insert), and the from-scratch oracle (:func:`grouped_design`,
+:func:`segment_solution`, :meth:`EngineState.scratch_check`) builds XG
+from X to check the cached inverse.  Three event families end a
 segment: adjacent group values colliding (fuse, including a group hitting
 zero), a grouped inequality margin reaching zero (split, including
 activations out of the zero group), and the within-group gradient order
@@ -105,6 +104,10 @@ def _group_ydot(Xty: np.ndarray, signs: np.ndarray, members: np.ndarray) -> floa
     return float(-(signs[members] * Xty[members]).sum())
 
 
+def _group_column(X: np.ndarray, signs: np.ndarray, members: np.ndarray) -> np.ndarray:
+    return -(X[:, members] * signs[members]).sum(axis=1)
+
+
 def grouped_design(structure: GroupStructure, X: np.ndarray) -> np.ndarray:
     """Signed grouped columns, one per nonzero group.
 
@@ -112,7 +115,7 @@ def grouped_design(structure: GroupStructure, X: np.ndarray) -> np.ndarray:
     convention that is -sum s_i x_i.  The zero group contributes nothing.
     """
     X = np.asarray(X, dtype=float)
-    cols = [-(X[:, g] * structure.signs[g]).sum(axis=1) for g in structure.groups()[1:]]
+    cols = [_group_column(X, structure.signs, g) for g in structure.groups()[1:]]
     return np.column_stack(cols) if cols else np.zeros((X.shape[0], 0))
 
 
@@ -192,26 +195,25 @@ class EngineState:
     values; ``inf`` marks an event that cannot happen under the current
     structure.
 
-    The data enter through ``G`` = X^T X (p x p, without the ridge) and
-    ``Xty`` = X^T y; ``run_path`` forms them once and passes them in, and
-    they are formed here when not given.  ``refresh`` takes the gradient
-    terms c = Xty - G beta and d = G slope from them, and a bordered insert
-    takes its column from the grouped rows of G.  ``A``/``Ainv`` are the
-    grouped Gram S^T G S + ridge * diag(sizes) and its cached inverse, and
-    ``XGty`` = S^T Xty.  Only :meth:`scratch_check` reads the raw X after
-    set-up.
+    ``G`` = X^T X (p x p, without the ridge) and ``Xty`` = X^T y are formed
+    once by ``run_path`` (see :func:`gram_data`).  ``refresh`` takes the
+    gradient terms c = Xty - G beta and d = G slope from them; a bordered
+    insert takes its cross products from X and the entering group's
+    column.  ``A``/``Ainv`` are the grouped Gram XG^T XG + ridge *
+    diag(sizes) and its cached inverse, and ``XGty`` = S^T Xty.
     """
 
     def __init__(self, instance: ProblemInstance, ray: WeightRay,
                  beta0: np.ndarray, options: PathOptions,
-                 G: np.ndarray | None = None, Xty: np.ndarray | None = None):
+                 G: np.ndarray, Xty: np.ndarray):
         self.instance = instance
         self.ray = ray
         self.options = options
+        self.X = instance.X
         self.ridge = instance.ridge
         self.p = instance.p
-        self.G = instance.X.T @ instance.X if G is None else G
-        self.Xty = instance.X.T @ instance.y if Xty is None else Xty
+        self.G = G
+        self.Xty = Xty
         self.min_schur_ratio: float | None = None
         self.cum0 = _prefix_sums(ray.lam0)
         self.cumbar = _prefix_sums(ray.lam_bar)
@@ -303,13 +305,17 @@ class EngineState:
         A must hold every group of ``starts`` except k .. k + absent - 1
         (a split inserts its two halves one at a time), so its columns are
         not those of the old structure: ``starts`` is updated first.  The
-        cross products are the grouped rows of w = G S_k, entry j being the
-        sum of -s_i w_i over the members i of group j."""
+        cross products are the grouped rows of w = X^T x_k, x_k being the
+        group's column.  They set the rounding of Ainv, and taken from G
+        they move an ill-conditioned breakpoint of a stored benchmark path
+        (perfbench path-tall, slot 0) by 2.3e-9 relative, past the 1e-9
+        the references are held to."""
         starts = self.starts
         members = self.order[starts[k]:starts[k + 1]]
-        w = -self.s[members] @ self.G[members]
+        col = _group_column(self.X, self.s, members)
+        w = self.X.T @ col
         sums = np.add.reduceat(-self.s[self.order] * w[self.order], starts[:-1])
-        alpha = float(sums[k]) + self.ridge * members.size
+        alpha = float(col @ col) + self.ridge * members.size
         a = np.delete(sums, slice(k, k + absent))
         v = self.Ainv @ a
         schur = alpha - float(a @ v)
@@ -325,12 +331,20 @@ class EngineState:
             self.fallbacks += 1
         self.XGty = np.insert(self.XGty, k, _group_ydot(self.Xty, self.s, members))
 
+    def _gram_times(self, grouped: np.ndarray) -> np.ndarray:
+        """G times the coefficient-space vector of each column of
+        ``grouped`` (one value per nonzero group), reading G only on the
+        nonzero coordinates: O(p * nnz) per column."""
+        nz = self.order[self.zero_count:]
+        coef = -self.s[nz, None] * np.repeat(grouped, np.diff(self.starts), axis=0)
+        return self.G[nz].T @ coef
+
     def scratch_check(self) -> float:
         """Relative Frobenius error of the cached inverse against a fresh
         rebuild of the grouped Gram from the raw design."""
         if self.n_groups == 0:
             return 0.0
-        _, A = _grouped_system(self.to_structure(), self.instance.X, self.Xty, self.ridge)
+        _, A = _grouped_system(self.to_structure(), self.X, self.Xty, self.ridge)
         fresh = np.linalg.inv(A)
         denom = float(np.linalg.norm(fresh))
         return float(np.linalg.norm(self.Ainv - fresh)) / max(denom, 1e-300)
@@ -354,8 +368,9 @@ class EngineState:
             )
 
         o = self.order
-        c = self.Xty - self.G @ scatter_groups(o, self.starts, self.s, self.levels)
-        d = self.G @ scatter_groups(o, self.starts, self.s, self.slopeG)
+        cd = self._gram_times(np.column_stack((self.levels, self.slopeG)))
+        c = self.Xty - cd[:, 0]
+        d = cd[:, 1]
 
         so = self.s[o]
         sizes = np.diff(np.concatenate(([0], self.starts)))
@@ -563,9 +578,9 @@ class EngineState:
             # fresh gradient -c = G beta - Xty of the zero slice, whose tail
             # holds the newly zeroed coordinates: re-sign those, then keep
             # the slice sorted by |gradient|
-            beta = scatter_groups(self.order, self.starts, self.s, self.levels)
             zero_members = self.order[:self.zero_count]
-            zgrad = self.G[zero_members] @ beta - self.Xty[zero_members]
+            zgrad = self._gram_times(self.levels[:, None])[zero_members, 0] \
+                - self.Xty[zero_members]
             self.s[members] = np.where(zgrad[-members.size:] >= 0, 1.0, -1.0)
             self.order[:self.zero_count] = zero_members[np.lexsort((zero_members,
                                                                     np.abs(zgrad)))]
@@ -712,6 +727,11 @@ def apply_event(state: EngineState, event: PathEvent) -> EngineState:
 # --- the path driver --------------------------------------------------------
 
 
+def gram_data(instance: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
+    """(X^T X, X^T y): the data as the engine reads them, formed once per run."""
+    return instance.X.T @ instance.X, instance.X.T @ instance.y
+
+
 def _initial_beta(instance: ProblemInstance, ray: WeightRay, options: PathOptions,
                   G: np.ndarray, Xty: np.ndarray) -> np.ndarray:
     if np.any(ray.lam0 != 0):
@@ -741,7 +761,7 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
     cap = options.iteration_cap if options.iteration_cap is not None \
         else 50 * instance.p * instance.p
 
-    G, Xty = instance.X.T @ instance.X, instance.X.T @ instance.y
+    G, Xty = gram_data(instance)
     beta0 = _initial_beta(instance, ray, options, G, Xty)
     state = EngineState(instance, ray, beta0, options, G, Xty)
 

@@ -25,6 +25,7 @@ from slopepath import (
 from slopepath.datagen import ScenarioSpec, generate
 from slopepath.engine import (
     apply_event,
+    gram_data,
     next_fuse_times,
     next_split_times,
     next_switch_times,
@@ -33,9 +34,9 @@ from slopepath.errors import IterationCapError, ValidationError
 
 
 def make_state(instance, ray, options=None):
-    gram = instance.X.T @ instance.X + instance.ridge * np.eye(instance.p)
-    beta0 = np.linalg.solve(gram, instance.X.T @ instance.y)
-    return EngineState(instance, ray, beta0, options or PathOptions())
+    G, Xty = gram_data(instance)
+    beta0 = np.linalg.solve(G + instance.ridge * np.eye(instance.p), Xty)
+    return EngineState(instance, ray, beta0, options or PathOptions(), G, Xty)
 
 
 def fused_t2_structure():
@@ -431,7 +432,8 @@ class TestStructureFromBeta:
         read = structure_from_beta(beta0, gradient, 1e-8 * (1.0 + np.max(np.abs(beta0))))
         assert read.zero_count > 0 and np.any(read.group_sizes() > 1)
         assert check_optimality(beta0, gradient, lam0).optimal
-        state = EngineState(inst, validate_ray(lam0, qs_sequence(8)), beta0, PathOptions())
+        state = EngineState(inst, validate_ray(lam0, qs_sequence(8)), beta0, PathOptions(),
+                            *gram_data(inst))
         assert np.array_equal(state.order, read.order)
         assert np.array_equal(state.starts, read.offsets)
         assert np.array_equal(state.s, read.signs)
@@ -476,12 +478,12 @@ class TestGramForm:
     @pytest.mark.parametrize("name", ["tall", "wide_ridge", "lam0", "integer"])
     def test_gram_gradient_matches_raw_design(self, name):
         inst, ray = _gram_case(name)
+        G, Xty = gram_data(inst)
         if np.any(ray.lam0):
             beta0 = solve_slope(inst, ray.lam0).beta
         else:
-            gram = inst.X.T @ inst.X + inst.ridge * np.eye(inst.p)
-            beta0 = np.linalg.solve(gram, inst.X.T @ inst.y)
-        state = EngineState(inst, ray, beta0, PathOptions())
+            beta0 = np.linalg.solve(G + inst.ridge * np.eye(inst.p), Xty)
+        state = EngineState(inst, ray, beta0, PathOptions(), G, Xty)
         kinds = set()
         while True:
             beta = state.scatter_beta()
@@ -510,6 +512,63 @@ class TestGramForm:
         path = run_path(single, validate_ray(np.zeros(1), np.ones(1)))
         assert [e.kind for e in path.breakpoints()] == ["fuse"]
         assert path.provenance["diagnostics"]["min_schur_ratio"] is None
+
+
+def _extended_split_time(state, pos):
+    """Time at which the suffix margin at ``pos`` reaches zero under the
+    state's structure, recomputed from the raw X in extended precision."""
+    L = np.longdouble
+    X, y = state.instance.X.astype(L), state.instance.y.astype(L)
+    structure = state.to_structure()
+    S = np.zeros((state.p, state.n_groups), dtype=L)
+    for j, g in enumerate(structure.groups()[1:]):
+        S[g, j] = -structure.signs[g]
+    XG = X @ S
+    lo, hi = structure.offsets[:-1], structure.offsets[1:]
+    cum0 = np.concatenate(([0], np.cumsum(state.ray.lam0.astype(L))))
+    cumbar = np.concatenate(([0], np.cumsum(state.ray.lam_bar.astype(L))))
+    # levels(eta) = v0 + eta * v1 from A [v0 v1] = [XG^T y - lam0G, -lamG_bar],
+    # by Gaussian elimination with partial pivoting
+    A = XG.T @ XG
+    b = np.column_stack((XG.T @ y - (cum0[hi] - cum0[lo]), -(cumbar[hi] - cumbar[lo])))
+    m = A.shape[0]
+    for k in range(m):
+        piv = k + int(np.argmax(np.abs(A[k:, k])))
+        A[[k, piv]], b[[k, piv]] = A[[piv, k]], b[[piv, k]]
+        f = A[k + 1:, k] / A[k, k]
+        A[k + 1:] -= np.outer(f, A[k])
+        b[k + 1:] -= np.outer(f, b[k])
+    v = np.zeros_like(b)
+    for k in range(m - 1, -1, -1):
+        v[k] = (b[k] - A[k, k + 1:] @ v[k + 1:]) / A[k, k]
+    o = state.order
+    g0 = -state.s[o] * (X.T @ (y - XG @ v[:, 0]))[o]
+    g1 = state.s[o] * (X.T @ (XG @ v[:, 1]))[o]
+    end = state.slice_of_group(state.group_of_position(pos))[1]
+    lam0 = cum0[end] - cum0[pos]
+    lambar = cumbar[end] - cumbar[pos]
+    return float((lam0 - g0[pos:end].sum()) / (g1[pos:end].sum() - lambar))
+
+
+class TestConditioning:
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="needs an extended-precision long double")
+    def test_split_after_close_merge_against_extended_precision(self):
+        # the third breakpoint of this path (perfbench path-tall, slot 0,
+        # path 2000-qs) is a split 3.8e-5 after a merge: its margin is a
+        # 2e-6 difference of gradients near 1.3e-4, so ~1e-13 of rounding
+        # in either gradient moves it by ~2e-9 relative
+        inst, _ = generate(ScenarioSpec(scenario=1, p=80, n=8000, seed=2000))
+        state = make_state(inst, validate_ray(np.zeros(80), qs_sequence(80)))
+        for _ in range(2):
+            state.step(*state.next_event())
+        t, kind, pos = state.next_event()
+        assert kind == "split"
+        exact = _extended_split_time(state, pos)
+        assert exact == pytest.approx(0.0015920879108781, rel=1e-12)
+        # float64 engines land 1e-9 to 3.3e-9 relative from it: this one
+        # 2.7e-9, an n-space gradient 3.2e-9, insert cross products from G 1.0e-9
+        assert t == pytest.approx(exact, rel=5e-9)
 
 
 class TestSwitchCost:
