@@ -14,6 +14,12 @@ Randomness comes from the counter-based Philox generator keyed by
 perturbs the others and replicate seeds are independent by construction.
 Gaussian variates are produced by inverse-CDF of 53-bit uniforms, which
 keeps the draws reproducible across languages given the same generator.
+The inverse CDF is :func:`~slopepath.weights.normal_quantile`, evaluated on
+whole arrays in fixed-size chunks with numpy arithmetic and per-element
+libm calls (log, exp, erfc from :mod:`math`), so every draw is bit-identical
+to the element-at-a-time recipe that the stored benchmark paths were traced
+on.  It is called through this module's global name, where a tracer can
+wrap it.
 """
 
 from __future__ import annotations

@@ -159,13 +159,18 @@ def segment_solution(structure: GroupStructure, instance: ProblemInstance,
 
 
 def _inv_delete(B: np.ndarray, j: int) -> np.ndarray:
-    keep = np.delete(np.arange(B.shape[0]), j)
-    return B[np.ix_(keep, keep)] - np.outer(B[keep, j], B[j, keep]) / B[j, j]
+    return _sym_delete(B - np.outer(B[:, j], B[j]) / B[j, j], j)
 
 
 def _sym_delete(M: np.ndarray, j: int) -> np.ndarray:
-    keep = np.delete(np.arange(M.shape[0]), j)
-    return M[np.ix_(keep, keep)]
+    """M without row and column ``j``, gathered by slices."""
+    m = M.shape[0]
+    out = np.empty((m - 1, m - 1))
+    out[:j, :j] = M[:j, :j]
+    out[:j, j:] = M[:j, j + 1:]
+    out[j:, :j] = M[j + 1:, :j]
+    out[j:, j:] = M[j + 1:, j + 1:]
+    return out
 
 
 def _sym_insert(M: np.ndarray, a: np.ndarray, alpha: float, at: int) -> np.ndarray:
@@ -173,13 +178,13 @@ def _sym_insert(M: np.ndarray, a: np.ndarray, alpha: float, at: int) -> np.ndarr
     position ``at``."""
     m = M.shape[0]
     out = np.empty((m + 1, m + 1))
-    out[:m, :m] = M
-    out[:m, m] = a
-    out[m, :m] = a
-    out[m, m] = alpha
-    if at != m:
-        perm = list(range(at)) + [m] + list(range(at, m))
-        out = out[np.ix_(perm, perm)]
+    out[:at, :at] = M[:at, :at]
+    out[:at, at + 1:] = M[:at, at:]
+    out[at + 1:, :at] = M[at:, :at]
+    out[at + 1:, at + 1:] = M[at:, at:]
+    out[at, :at] = out[:at, at] = a[:at]
+    out[at, at + 1:] = out[at + 1:, at] = a[at:]
+    out[at, at] = alpha
     return out
 
 

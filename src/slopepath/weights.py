@@ -51,34 +51,49 @@ _QD = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
+#: elements evaluated per pass of the kernel; bounds the temporaries (the
+#: Python floats handed to libm above all) to a few MB whatever the input size
+_QUANTILE_CHUNK = 1 << 14
 
-def _quantile_scalar(u: float) -> float:
-    if not 0.0 < u < 1.0:
-        if u == 0.0:
-            return -math.inf
-        if u == 1.0:
-            return math.inf
-        raise ValidationError(f"quantile argument must lie in [0, 1], got {u}")
-    if u < 0.02425:
-        q = math.sqrt(-2.0 * math.log(u))
-        x = ((((((_QC[0] * q + _QC[1]) * q + _QC[2]) * q + _QC[3]) * q + _QC[4]) * q + _QC[5])
-             / ((((_QD[0] * q + _QD[1]) * q + _QD[2]) * q + _QD[3]) * q + 1.0))
-    elif u > 0.97575:
-        q = math.sqrt(-2.0 * math.log(1.0 - u))
-        x = -((((((_QC[0] * q + _QC[1]) * q + _QC[2]) * q + _QC[3]) * q + _QC[4]) * q + _QC[5])
-              / ((((_QD[0] * q + _QD[1]) * q + _QD[2]) * q + _QD[3]) * q + 1.0))
-    else:
-        q = u - 0.5
-        r = q * q
-        x = ((((((_QA[0] * r + _QA[1]) * r + _QA[2]) * r + _QA[3]) * r + _QA[4]) * r + _QA[5]) * q
-             / (((((_QB[0] * r + _QB[1]) * r + _QB[2]) * r + _QB[3]) * r + _QB[4]) * r + 1.0))
+
+def _libm(fn, a: np.ndarray) -> np.ndarray:
+    """``fn`` from :mod:`math` on each element: numpy's exp and log may
+    round differently from the C library, and numpy has no erfc."""
+    return np.fromiter(map(fn, a.tolist()), float, a.size)
+
+
+def _quantile_chunk(u: np.ndarray) -> np.ndarray:
+    """Quantiles of the 1-d ``u``, all in [0, 1] (checked by the caller).
+
+    Each element goes through the same operations, in the same order, as
+    in the one-float-at-a-time recipe (kept in the tests as the oracle);
+    numpy's +, *, / and sqrt round as Python floats do, so the results are
+    bit-identical to it.
+    """
+    # central region, evaluated everywhere and overwritten in the tails
+    q = u - 0.5
+    r = q * q
+    x = ((((((_QA[0] * r + _QA[1]) * r + _QA[2]) * r + _QA[3]) * r + _QA[4]) * r + _QA[5]) * q
+         / (((((_QB[0] * r + _QB[1]) * r + _QB[2]) * r + _QB[3]) * r + _QB[4]) * r + 1.0))
+    lower = u < 0.02425
+    upper = u > 0.97575
+    tail = np.flatnonzero((lower | upper) & (u != 0.0) & (u != 1.0))
+    t = u[tail]
+    low = lower[tail]
+    q = np.sqrt(-2.0 * _libm(math.log, np.where(low, t, 1.0 - t)))
+    v = ((((((_QC[0] * q + _QC[1]) * q + _QC[2]) * q + _QC[3]) * q + _QC[4]) * q + _QC[5])
+         / ((((_QD[0] * q + _QD[1]) * q + _QD[2]) * q + _QD[3]) * q + 1.0))
+    x[tail] = np.where(low, v, -v)
+    x[u == 0.0] = -math.inf
+    x[u == 1.0] = math.inf
     # One Halley step: e = Phi(x) - u, with Phi via erfc.  Skipped in the
     # extreme tails where exp(x^2/2) overflows; the unrefined value is
     # already accurate to ~1e-9 relative there.
-    if abs(x) < 26.0:
-        e = 0.5 * math.erfc(-x / _SQRT2) - u
-        v = e * _SQRT2PI * math.exp(0.5 * x * x)
-        x = x - v / (1.0 + 0.5 * x * v)
+    refine = np.flatnonzero(np.abs(x) < 26.0)
+    xr = x[refine]
+    e = 0.5 * _libm(math.erfc, -xr / _SQRT2) - u[refine]
+    v = e * _SQRT2PI * _libm(math.exp, 0.5 * xr * xr)
+    x[refine] = xr - v / (1.0 + 0.5 * xr * v)
     return x
 
 
@@ -86,16 +101,24 @@ def normal_quantile(u):
     """Standard normal quantile function, elementwise on arrays.
 
     Accurate to a few ulp (rational approximation plus one Halley
-    refinement).  ``u=0`` and ``u=1`` map to -inf and +inf.
+    refinement).  ``u=0`` and ``u=1`` map to -inf and +inf; a scalar
+    argument returns a Python float.  The arithmetic runs on whole numpy
+    chunks of ``_QUANTILE_CHUNK`` elements, and only the libm calls (log in
+    the tails, exp and erfc) go element by element through :mod:`math`, so
+    the draws equal, bit for bit, those of the element-at-a-time recipe.
     """
-    if np.isscalar(u):
-        return _quantile_scalar(float(u))
     arr = np.asarray(u, dtype=float)
-    out = np.empty_like(arr)
-    flat_in, flat_out = arr.ravel(), out.ravel()
-    for i, val in enumerate(flat_in):
-        flat_out[i] = _quantile_scalar(float(val))
-    return out
+    flat = arr.reshape(-1)
+    out = np.empty(arr.shape)
+    flat_out = out.reshape(-1)
+    for lo in range(0, flat.size, _QUANTILE_CHUNK):
+        chunk = flat[lo:lo + _QUANTILE_CHUNK]
+        bad = np.flatnonzero(~((chunk >= 0.0) & (chunk <= 1.0)))  # NaN too
+        if bad.size:
+            raise ValidationError(
+                f"quantile argument must lie in [0, 1], got {float(chunk[bad[0]])}")
+        flat_out[lo:lo + chunk.size] = _quantile_chunk(chunk)
+    return float(out) if np.isscalar(u) else out
 
 
 def _check_ascending_nonnegative(lam: np.ndarray, label: str) -> np.ndarray:

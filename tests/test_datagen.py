@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,22 @@ class TestDeterminism:
             inst, _ = generate(ScenarioSpec(scenario=2, p=4, n=10, seed=seed))
             hashes.add(instance_hash(inst))
         assert len(hashes) == 100
+
+    @pytest.mark.parametrize("spec, digest", [
+        # the first path-tall benchmark instance (slot 0)
+        (ScenarioSpec(scenario=1, p=80, n=8000, seed=2000),
+         "8e50da79defc6410dbdc71b216b8aafb513fcabb5b19f19a8a90df3dc7733e9c"),
+        # the first replicate-verify benchmark instance (slot 0)
+        (ScenarioSpec(scenario=2, p=20, n=200, seed=42),
+         "8f2c167c2fe08c45549d3f0fa9be473ecc079735cc27423a7b8f8dace44cd4f0"),
+    ], ids=["scenario1-tall", "scenario2"])
+    def test_pinned_across_versions(self, spec, digest):
+        # the stored benchmark paths hold only on these exact bytes
+        inst, beta = generate(spec)
+        h = hashlib.sha256()
+        for a in (inst.X, inst.y, beta):
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest() == digest
 
     def test_invalid_scenario(self):
         with pytest.raises(ValidationError):

@@ -24,6 +24,9 @@ from slopepath import (
 )
 from slopepath.datagen import ScenarioSpec, generate
 from slopepath.engine import (
+    _inv_delete,
+    _sym_delete,
+    _sym_insert,
     apply_event,
     gram_data,
     next_fuse_times,
@@ -74,6 +77,36 @@ class TestGroupedDesign:
         )
         XG = grouped_design(structure, t2_instance.X)
         assert XG.shape == (2, 0)
+
+
+class TestGramHelpers:
+    """The bordered insert and the deletes move blocks by slices; they must
+    equal, bit for bit, the index-permutation formulas they replaced."""
+
+    @staticmethod
+    def _sym(rng, m):
+        M = rng.standard_normal((m, m))
+        return M + M.T
+
+    def test_sym_insert_matches_permuted_border(self):
+        rng = np.random.default_rng(11)
+        for m in range(6):
+            M, a, alpha = self._sym(rng, m), rng.standard_normal(m), float(rng.standard_normal())
+            border = np.block([[M, a[:, None]], [a[None, :], np.array([[alpha]])]])
+            for at in range(m + 1):
+                perm = list(range(at)) + [m] + list(range(at, m))
+                assert np.array_equal(_sym_insert(M, a, alpha, at), border[np.ix_(perm, perm)])
+
+    def test_deletes_match_index_gathers(self):
+        rng = np.random.default_rng(12)
+        for m in range(1, 7):
+            B = self._sym(rng, m)
+            for j in range(m):
+                keep = np.delete(np.arange(m), j)
+                block = np.ix_(keep, keep)
+                assert np.array_equal(_sym_delete(B, j), B[block])
+                expected = B[block] - np.outer(B[keep, j], B[j, keep]) / B[j, j]
+                assert np.array_equal(_inv_delete(B, j), expected)
 
 
 class TestSegmentSolution:

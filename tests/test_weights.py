@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from slopepath import (
     qs_sequence,
     sphericity_ratio,
 )
+from slopepath.weights import _QUANTILE_CHUNK
 from slopepath.errors import (
     DenominatorUnderflowError,
     InvalidLevelError,
@@ -23,6 +25,122 @@ from slopepath.errors import (
 )
 
 from conftest import random_ascending_weights
+
+
+# Frozen copy of the element-at-a-time quantile recipe that the array
+# kernel replaced; the generated data (and every stored benchmark path) is
+# pinned to its exact output.
+_QA = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
+       1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
+_QB = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
+       6.680131188771972e01, -1.328068155288572e01)
+_QC = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
+       -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
+_QD = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
+       3.754408661907416e00)
+_SQRT2 = math.sqrt(2.0)
+_SQRT2PI = math.sqrt(2.0 * math.pi)
+
+
+def _quantile_scalar(u: float) -> float:
+    if not 0.0 < u < 1.0:
+        if u == 0.0:
+            return -math.inf
+        if u == 1.0:
+            return math.inf
+        raise ValidationError(f"quantile argument must lie in [0, 1], got {u}")
+    if u < 0.02425:
+        q = math.sqrt(-2.0 * math.log(u))
+        x = ((((((_QC[0] * q + _QC[1]) * q + _QC[2]) * q + _QC[3]) * q + _QC[4]) * q + _QC[5])
+             / ((((_QD[0] * q + _QD[1]) * q + _QD[2]) * q + _QD[3]) * q + 1.0))
+    elif u > 0.97575:
+        q = math.sqrt(-2.0 * math.log(1.0 - u))
+        x = -((((((_QC[0] * q + _QC[1]) * q + _QC[2]) * q + _QC[3]) * q + _QC[4]) * q + _QC[5])
+              / ((((_QD[0] * q + _QD[1]) * q + _QD[2]) * q + _QD[3]) * q + 1.0))
+    else:
+        q = u - 0.5
+        r = q * q
+        x = ((((((_QA[0] * r + _QA[1]) * r + _QA[2]) * r + _QA[3]) * r + _QA[4]) * r + _QA[5]) * q
+             / (((((_QB[0] * r + _QB[1]) * r + _QB[2]) * r + _QB[3]) * r + _QB[4]) * r + 1.0))
+    if abs(x) < 26.0:
+        e = 0.5 * math.erfc(-x / _SQRT2) - u
+        v = e * _SQRT2PI * math.exp(0.5 * x * x)
+        x = x - v / (1.0 + 0.5 * x * v)
+    return x
+
+
+def _oracle(u) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    return np.array([_quantile_scalar(float(v)) for v in u.ravel()]).reshape(u.shape)
+
+
+def _assert_bits_equal(u):
+    ours = normal_quantile(u)
+    assert ours.shape == np.shape(u)
+    assert np.array_equal(ours.view(np.int64), _oracle(u).view(np.int64))
+
+
+class TestQuantileBitIdentity:
+    def test_seeded_uniforms(self):
+        gen = np.random.Generator(np.random.Philox(key=[7, 0]))
+        u = (gen.integers(0, 1 << 53, size=1_000_000).astype(float) + 0.5) / float(1 << 53)
+        _assert_bits_equal(u)
+
+    def test_branch_edges(self):
+        edges = np.array([0.02425, 0.97575])
+        _assert_bits_equal(np.concatenate(
+            (edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0))))
+
+    def test_far_tails(self):
+        # below u = 1e-300 the result is left unrefined (|x| >= 26); the
+        # upper tail ends at 1 - 2^-53, where x is only about 8.2
+        u = np.array([1e-300, 5e-324, 1.0 - 2.0 ** -53])
+        assert np.all(np.abs(_oracle(u)[:2]) >= 26.0)
+        _assert_bits_equal(u)
+
+    def test_infinite_ends(self):
+        _assert_bits_equal(np.array([0.0, 1.0, 0.5]))
+        assert normal_quantile(np.array([0.0, 1.0])).tolist() == [-math.inf, math.inf]
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 5), (_QUANTILE_CHUNK - 1,),
+                                       (_QUANTILE_CHUNK,), (_QUANTILE_CHUNK + 1,)])
+    def test_shapes_and_chunk_boundaries(self, shape):
+        rng = np.random.default_rng(list(shape))
+        u = rng.uniform(0.0, 1.0, size=shape)
+        if u.size:
+            u.flat[0], u.flat[-1] = 1e-4, 1.0 - 1e-4  # both tails
+        _assert_bits_equal(u)
+
+    def test_non_contiguous_input(self):
+        u = np.random.default_rng(5).uniform(size=(6, 8))
+        _assert_bits_equal(np.asfortranarray(u))
+        _assert_bits_equal(u[::2, 1::3])
+
+    def test_scalar_returns_python_float(self):
+        for u in (0.3, np.float64(0.99), 0.0, 1, 1e-300):
+            out = normal_quantile(u)
+            assert type(out) is float
+            assert out == _quantile_scalar(float(u))
+
+    @pytest.mark.parametrize("bad", [-0.5, 1.5, math.nan])
+    def test_out_of_range_raises(self, bad):
+        message = f"quantile argument must lie in [0, 1], got {bad}"
+        with pytest.raises(ValidationError) as scalar:
+            normal_quantile(bad)
+        assert str(scalar.value) == message
+        with pytest.raises(ValidationError) as array:
+            normal_quantile(np.array([0.5, bad, -2.0]))
+        assert str(array.value) == message
+
+    def test_peak_memory_bounded_by_chunking(self):
+        u = np.random.default_rng(3).uniform(size=(8000, 80))
+        tracemalloc.start()
+        try:
+            out = normal_quantile(u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * out.nbytes
 
 
 class TestNormalQuantile:
