@@ -147,7 +147,9 @@ def _cmd_path(args) -> int:
         f"{len(path.segments)} segments, {diag['events']} events "
         f"({diag['fuse_events']} fuse, {diag['split_events']} split, "
         f"{diag['switch_events'] + diag['sign_switch_events']} switch), "
-        f"min Schur ratio {diag['min_schur_ratio']}\n"
+        f"min Schur ratio {diag['min_schur_ratio']}, "
+        f"{diag['absorbed_events']} absorbed, "
+        f"{sum(diag['suppressed_bounces'].values())} suppressed bounces\n"
     )
     return 0
 

@@ -237,6 +237,11 @@ class EngineState:
         self.n_switch = 0
         self.n_sign_switch = 0
         self.fallbacks = 0
+        # tolerance decisions: events absorbed "in the past" by advance, and
+        # candidates blanked as floating-point bounces, by the kind undone
+        self.n_absorbed = 0
+        self.suppressed = dict.fromkeys(("merge", "death", "split", "switch_order",
+                                         "switch_sign"), 0)
         self.gram_checks: list[tuple[int, float]] = []
         self._suppress: dict = {}
 
@@ -507,16 +512,19 @@ class EngineState:
             for pos in range(a + 1, b):
                 if self.split_t[pos] <= window and set(self.order[pos:b]) == upper:
                     self.split_t[pos] = math.inf
+                    self.suppressed[kind] += 1
         elif kind == "death":
             dead = sup["members"]
             p0 = self.zero_count
             for pos in range(p0):
                 if self.split_t[pos] <= window and set(self.order[pos:p0]) == dead:
                     self.split_t[pos] = math.inf
+                    self.suppressed[kind] += 1
         elif kind == "split":
             j = sup["upper_group"]
             if j < self.fuse_t.size and self.fuse_t[j] <= window:
                 self.fuse_t[j] = math.inf
+                self.suppressed[kind] += 1
         self._suppress = {}
 
     # -- event selection and application --
@@ -552,6 +560,7 @@ class EngineState:
             if self.eta - eta_new > 1e-9 * (1.0 + abs(self.eta)):
                 raise NumericalError(f"cannot move backwards: {eta_new} < {self.eta}")
             eta_new = self.eta
+            self.n_absorbed += 1
         self.levels = self.levels + (eta_new - self.eta) * self.slopeG
         self.eta = eta_new
 
@@ -656,6 +665,7 @@ class EngineState:
         # the pair that just swapped cannot immediately swap back
         if self.switch_t.size > k and self.switch_t[k] <= self.eta + self.options.timing_clamp:
             self.switch_t[k] = math.inf
+            self.suppressed["switch_order"] += 1
         if k == 0:
             self.sign_t = self._sign_time()
 
@@ -678,6 +688,7 @@ class EngineState:
         self.sign_t = self._sign_time()
         if self.sign_t <= self.eta + self.options.timing_clamp:
             self.sign_t = math.inf
+            self.suppressed["switch_sign"] += 1
 
 
 def _suffix_within(values: np.ndarray, slice_ends: np.ndarray) -> np.ndarray:
@@ -818,6 +829,8 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
             "sign_switch_events": state.n_sign_switch,
             "fallback_refactorizations": state.fallbacks,
             "min_schur_ratio": state.min_schur_ratio,
+            "absorbed_events": state.n_absorbed,
+            "suppressed_bounces": dict(state.suppressed),
             "gram_checks": [[i, err] for i, err in state.gram_checks],
         },
     }

@@ -245,6 +245,10 @@ class SolutionPath:
     events: tuple[PathEvent, ...]
     provenance: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # segment starts for the binary search in eval_path, built once
+        object.__setattr__(self, "_starts", [seg.eta_start for seg in self.segments])
+
     @property
     def eta_end(self) -> float:
         return self.segments[-1].eta_end if self.segments else 0.0
@@ -261,7 +265,7 @@ def check_weight_order(lam, label: str = "weights") -> np.ndarray:
     """Return ``lam`` as floats; raise ValidationError unless it is
     ascending and nonnegative."""
     lam = np.asarray(lam, dtype=float)
-    if lam.size and (lam[0] < 0 or np.any(np.diff(lam) < 0)):
+    if lam.size and (lam[0] < 0 or (np.diff(lam) < 0).any()):
         raise ValidationError(f"{label} must be ascending and nonnegative")
     return lam
 
@@ -446,8 +450,7 @@ def eval_path(path: SolutionPath, eta: float) -> np.ndarray:
         raise OutOfRangeError("path has no segments")
     if eta < 0:
         raise OutOfRangeError(f"eta must be nonnegative, got {eta}")
-    starts = [seg.eta_start for seg in path.segments]
-    idx = bisect.bisect_right(starts, eta) - 1
+    idx = bisect.bisect_right(path._starts, eta) - 1
     if idx < 0:
         raise OutOfRangeError(f"eta={eta} precedes the path start")
     seg = path.segments[idx]

@@ -7,8 +7,16 @@ against dense grid refinement, and quantiles against scipy.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from slopepath import ProblemInstance, validate_ray
+
+# Property tests draw the same examples on every run (derandomize, no
+# example database) and are never timed out, so a slow machine cannot
+# turn them into flakes.
+settings.register_profile("slopepath", derandomize=True, database=None,
+                          deadline=None, max_examples=150)
+settings.load_profile("slopepath")
 
 
 @pytest.fixture

@@ -49,7 +49,11 @@ class TestSimulateAndPath:
         assert path.segments
         assert path.provenance["diagnostics"]["events"] >= 1
         ratio = path.provenance["diagnostics"]["min_schur_ratio"]
-        assert f"min Schur ratio {ratio}" in capsys.readouterr().err
+        diag = path.provenance["diagnostics"]
+        err = capsys.readouterr().err
+        assert f"min Schur ratio {ratio}" in err
+        assert f"{diag['absorbed_events']} absorbed, " \
+            f"{sum(diag['suppressed_bounces'].values())} suppressed bounces" in err
 
         header, *rows = events_file.read_text().strip().splitlines()
         assert header == "index,eta,kind,g,k"

@@ -260,8 +260,9 @@ def _bh8_state():
     return make_state(inst, validate_ray(np.zeros(8), bh_sequence(8, 0.1)))
 
 
-def _state_with_pending_switch(max_seed=200):
-    """Search small instances for a state whose next event is a switch."""
+def _state_with_pending_switch(kind="switch_order", max_seed=200):
+    """Search small instances for a state whose next event is a switch
+    (``kind`` "switch_order" or "switch_sign")."""
     rng_master = np.random.default_rng(0)
     for seed in range(max_seed):
         rng = np.random.default_rng(seed)
@@ -273,12 +274,12 @@ def _state_with_pending_switch(max_seed=200):
         ray = validate_ray(np.zeros(p), np.sort(rng.uniform(0.2, 1.0, p)))
         state = make_state(inst, ray)
         for _ in range(60):
-            t, kind, idx = state.next_event()
+            t, kind_next, idx = state.next_event()
             if math.isinf(t):
                 break
-            if kind == "switch_order":
+            if kind_next == kind:
                 return state
-            state.step(t, kind, idx)
+            state.step(t, kind_next, idx)
     del rng_master
     raise RuntimeError("no switch event found in the search budget")
 
@@ -545,6 +546,49 @@ class TestGramForm:
         path = run_path(single, validate_ray(np.zeros(1), np.ones(1)))
         assert [e.kind for e in path.breakpoints()] == ["fuse"]
         assert path.provenance["diagnostics"]["min_schur_ratio"] is None
+
+
+# Small integer designs (X, y, ridge, lam_bar) whose paths make the named
+# tolerance decision at least once
+_DECISION_CASES = {
+    "absorbed": ([[0, 1, -1], [-2, 1, 0], [-1, 0, 0]], [-1, -3, 3], 0.5, [1, 2, 3]),
+    "merge": ([[1, 0, 1], [1, -1, 1], [-1, 0, -1]], [2, -1, 1], 0.25, [2, 2, 3]),
+    "death": ([[-1, -1], [0, -2]], [2, -1], 0.5, [0, 2]),
+    "split": ([[0, 1, 0], [-1, 1, -1], [0, -1, 0]], [-2, 2, -1], 0.25, [1, 3, 3]),
+}
+
+
+class TestDecisionCounters:
+    @pytest.mark.parametrize("case", sorted(_DECISION_CASES))
+    def test_path_counts_its_decisions(self, case):
+        X, y, ridge, lam_bar = _DECISION_CASES[case]
+        inst = ProblemInstance(y=np.array(y, dtype=float), X=np.array(X, dtype=float),
+                               ridge=ridge)
+        diag = run_path(inst, validate_ray(np.zeros(len(lam_bar)),
+                                           np.array(lam_bar, dtype=float))
+                        ).provenance["diagnostics"]
+        counts = {"absorbed": diag["absorbed_events"], **diag["suppressed_bounces"]}
+        assert counts[case] >= 1
+        assert set(diag["suppressed_bounces"]) == {"merge", "death", "split",
+                                                   "switch_order", "switch_sign"}
+
+    @pytest.mark.parametrize("kind", ["switch_order", "switch_sign"])
+    def test_swap_back_guard_counts(self, kind):
+        # on a path the swapped pair's difference and rate flip sign exactly,
+        # so its new time is never "now"; swapping back at the same eta is
+        # the bounce the guard blanks
+        state = _state_with_pending_switch(kind)
+        t, _, idx = state.next_event()
+        state.step(t, kind, idx)
+        before = dict(state.suppressed)
+        assert before[kind] == 0
+        if kind == "switch_order":
+            state.apply_switch(idx)
+            assert math.isinf(state.switch_t[idx])
+        else:
+            state.apply_sign_switch()
+            assert math.isinf(state.sign_t)
+        assert state.suppressed == {**before, kind: 1}
 
 
 def _extended_split_time(state, pos):

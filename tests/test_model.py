@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from slopepath import (
     PathEvent,
     PathSegment,
     ProblemInstance,
+    SolutionPath,
     WeightRay,
+    bh_sequence,
     eval_path,
     load_instance,
     load_path,
@@ -19,6 +22,7 @@ from slopepath import (
     validate_instance,
     validate_ray,
 )
+from slopepath.datagen import ScenarioSpec, generate
 from slopepath.errors import (
     InvalidAtZeroError,
     NonFiniteError,
@@ -196,3 +200,29 @@ class TestEvalPath:
             eval_path(path, -0.5)
         with pytest.raises(OutOfRangeError):
             eval_path(path, 1.5)
+
+    def test_out_of_range_messages(self):
+        end = PathEvent(kind="terminate", eta=3.0)
+        path = SolutionPath(segments=(PathSegment(1.0, 3.0, np.ones(1), np.zeros(1), end),),
+                            events=(end,))
+        for eta, message in [(-0.5, "eta must be nonnegative, got -0.5"),
+                             (0.5, "eta=0.5 precedes the path start"),
+                             (3.0, "eta=3.0 is beyond the path horizon 3.0")]:
+            with pytest.raises(OutOfRangeError, match=re.escape(message)):
+                eval_path(path, eta)
+        with pytest.raises(OutOfRangeError, match="path has no segments"):
+            eval_path(SolutionPath(segments=(), events=()), 0.0)
+
+    def test_matches_segment_scan(self, tmp_path):
+        inst, _ = generate(ScenarioSpec(scenario=1, p=10, n=50, seed=4))
+        path = run_path(inst, validate_ray(np.zeros(10), bh_sequence(10, 0.1)))
+        save_path(path, tmp_path / "p.jsonl")
+        loaded = load_path(tmp_path / "p.jsonl")
+        assert len(path.segments) > 20
+        rng = np.random.default_rng(5)
+        etas = [seg.eta_start for seg in path.segments] \
+            + rng.uniform(0.0, path.segments[-1].eta_start + 1.0, 50).tolist()
+        for eta in etas:
+            seg = [s for s in path.segments if s.eta_start <= eta < s.eta_end][-1]
+            assert np.array_equal(eval_path(path, eta), seg.value(eta))
+            assert np.array_equal(eval_path(loaded, eta), seg.value(eta))

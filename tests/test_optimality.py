@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from slopepath import ProblemInstance, check_optimality, signs_and_order, structure_from_beta
-from slopepath.errors import InconsistentGroupsError
+from slopepath import (
+    GroupStructure,
+    OptimalityReport,
+    ProblemInstance,
+    check_optimality,
+    signs_and_order,
+    structure_from_beta,
+)
+from slopepath.errors import InconsistentGroupsError, SlopePathError, ValidationError
+from slopepath.model import check_weight_order
 
 from conftest import grid_minimize, random_ascending_weights
 
@@ -134,3 +143,261 @@ class TestOracleAgreement:
             report = check_optimality(bumped, inst.gradient(bumped), lam,
                                       tol_eq=1e-4, tol_ineq=1e-4, tie_tol=3e-5)
             assert not report.optimal
+
+
+# Frozen copies of the group-at-a-time routines that the array kernels
+# replaced; every report, structure and exception must match them exactly.
+
+
+def _old_structure_from_beta(beta, gradient, tol):
+    beta = np.asarray(beta, dtype=float)
+    absb = np.abs(beta)
+    zero = np.flatnonzero(absb <= tol)
+    nz = np.flatnonzero(absb > tol)
+    nz = nz[np.argsort(absb[nz], kind="stable")]
+    cuts = [0, *(np.flatnonzero(np.diff(absb[nz]) > tol) + 1).tolist(), nz.size] \
+        if nz.size else [0]
+    clusters = [nz[a:b] for a, b in zip(cuts, cuts[1:])]
+    s, order = _old_signs_and_order(beta, gradient, [zero] + clusters,
+                                    level_tol=max(1.0, beta.size) * tol)
+    offsets = zero.size + np.array(cuts)
+    levels = np.add.reduceat(absb[order], offsets[:-1]) / np.diff(offsets)
+    return GroupStructure(order=order, offsets=offsets, levels=levels, signs=s)
+
+
+def _old_signs_and_order(beta, gradient, groups, level_tol=None):
+    beta = np.asarray(beta, dtype=float)
+    gradient = np.asarray(gradient, dtype=float)
+    if beta.shape != gradient.shape or beta.ndim != 1:
+        raise ValidationError("beta and gradient must be 1-d vectors of equal length")
+    if level_tol is None:
+        level_tol = 1e-6 * (1.0 + (float(np.max(np.abs(beta))) if beta.size else 0.0))
+    _old_check_group_consistency(beta, groups, level_tol)
+    s = np.empty(beta.size)
+    zero = np.asarray(groups[0], dtype=int)
+    nonzero = np.concatenate([np.asarray(g, dtype=int) for g in groups[1:]]) \
+        if len(groups) > 1 else np.empty(0, dtype=int)
+    s[nonzero] = -np.sign(beta[nonzero])
+    s[zero] = np.where(gradient[zero] >= 0, 1.0, -1.0)
+    order_parts = []
+    for g in groups:
+        g = np.asarray(g, dtype=int)
+        key = s[g] * gradient[g]
+        order_parts.append(g[np.lexsort((g, key))])
+    order = np.concatenate(order_parts) if order_parts else np.empty(0, dtype=int)
+    return s, order
+
+
+def _old_check_group_consistency(beta, groups, level_tol):
+    absb = np.abs(np.asarray(beta, dtype=float))
+    seen = np.concatenate([np.asarray(g, dtype=int) for g in groups]) \
+        if groups else np.empty(0, dtype=int)
+    if np.sort(seen).tolist() != list(range(absb.size)):
+        raise InconsistentGroupsError("groups do not partition the coordinates")
+    for gi, g in enumerate(groups):
+        g = np.asarray(g, dtype=int)
+        if gi == 0:
+            if g.size and absb[g].max() > level_tol:
+                raise InconsistentGroupsError("zero group contains nonzero coefficients")
+            continue
+        if g.size == 0:
+            raise InconsistentGroupsError(f"nonzero group {gi} is empty")
+        if absb[g].max() - absb[g].min() > level_tol:
+            raise InconsistentGroupsError(f"group {gi} spans unequal absolute values")
+
+
+def _old_check_optimality(beta, gradient, weights, tol_eq=None, tol_ineq=None,
+                          tie_tol=None):
+    beta = np.asarray(beta, dtype=float)
+    gradient = np.asarray(gradient, dtype=float)
+    lam = np.asarray(weights, dtype=float)
+    if lam.shape != beta.shape:
+        raise ValidationError("weights must match beta in length")
+    check_weight_order(lam)
+    scale_l = 1.0 + (float(np.max(lam)) if lam.size else 0.0)
+    if tol_eq is None:
+        tol_eq = 1e-8 * scale_l
+    if tol_ineq is None:
+        tol_ineq = 1e-8 * scale_l
+    if tie_tol is None:
+        tie_tol = 1e-8 * (1.0 + (float(np.max(np.abs(beta))) if beta.size else 0.0))
+    structure = _old_structure_from_beta(beta, gradient, tie_tol)
+    sgrad = structure.signs[structure.order] * gradient[structure.order]
+    bounds = np.concatenate(([0], structure.offsets))
+    cond1, margins = [], []
+    worst = ("none", 0, 0, 0.0)
+
+    def _consider(cond, g, k, violation):
+        nonlocal worst
+        if violation > worst[3]:
+            worst = (cond, g, k, violation)
+
+    for g in range(bounds.size - 1):
+        a, b = int(bounds[g]), int(bounds[g + 1])
+        if a == b:
+            continue
+        grad_suffix = np.cumsum(sgrad[a:b][::-1])[::-1]
+        lam_suffix = np.cumsum(lam[a:b][::-1])[::-1]
+        if g == 0:
+            for k in range(b - a):
+                margin = float(lam_suffix[k] - grad_suffix[k])
+                margins.append((0, k + 1, margin))
+                _consider("cond2", 0, k + 1, max(0.0, -margin))
+        else:
+            residual = float(lam_suffix[0] - grad_suffix[0])
+            cond1.append(residual)
+            _consider("cond1", g, 1, abs(residual))
+            for k in range(1, b - a):
+                margin = float(lam_suffix[k] - grad_suffix[k])
+                margins.append((g, k + 1, margin))
+                _consider("cond3", g, k + 1, max(0.0, -margin))
+    cond1_arr = np.asarray(cond1, dtype=float)
+    ok_eq = bool(np.all(np.abs(cond1_arr) <= tol_eq)) if cond1_arr.size else True
+    ok_ineq = all(m >= -tol_ineq for _, _, m in margins)
+    return OptimalityReport(optimal=ok_eq and ok_ineq, cond1_residuals=cond1_arr,
+                            slack_margins=margins, worst_violation=worst,
+                            tol_eq=tol_eq, tol_ineq=tol_ineq)
+
+
+def _same_float(a, b) -> bool:
+    """Same bits, or both NaN (a NaN's sign and payload follow the
+    compiler's operand order, not the algorithm's)."""
+    return type(a) is type(b) and (np.isnan(a) and np.isnan(b)
+                                   or np.float64(a).tobytes() == np.float64(b).tobytes())
+
+
+def _same_array(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and all(_same_float(x, y) for x, y in zip(a.tolist(), b.tolist()))
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (SlopePathError, ValueError, IndexError) as exc:
+        return exc
+
+
+def _assert_same_outcome(new, old):
+    if isinstance(old, Exception) or isinstance(new, Exception):
+        assert type(new) is type(old) and str(new) == str(old), (new, old)
+        return True
+    return False
+
+
+def _assert_same_report(new, old):
+    if _assert_same_outcome(new, old):
+        return
+    assert new.optimal is old.optimal
+    assert _same_array(new.cond1_residuals, old.cond1_residuals)
+    assert len(new.slack_margins) == len(old.slack_margins)
+    for (g1, k1, m1), (g2, k2, m2) in zip(new.slack_margins, old.slack_margins):
+        assert (type(g1), type(k1), g1, k1) == (type(g2), type(k2), g2, k2)
+        assert _same_float(m1, m2)
+    assert new.worst_violation[:3] == old.worst_violation[:3]
+    assert _same_float(new.worst_violation[3], old.worst_violation[3])
+    assert (new.tol_eq, new.tol_ineq) == (old.tol_eq, old.tol_ineq)
+
+
+def _assert_same_structure(new, old):
+    if _assert_same_outcome(new, old):
+        return
+    for name in ("order", "offsets", "levels", "signs"):
+        a, b = getattr(new, name), getattr(old, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+# values that make exact ties, ties inside the default tie_tol, both zeros
+# and NaN likely; the strategies never narrow below these
+_SPECIAL = [0.0, -0.0, 1.0, -1.0, 1.0 + 1e-9, -1.0 - 1e-9, 0.5, -0.5, 2.0, 1e-9, -1e-9,
+            float("nan")]
+_entries = st.one_of(st.sampled_from(_SPECIAL),
+                     st.floats(-3.0, 3.0, allow_nan=False, width=64))
+_weight_entries = st.one_of(st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.0]),
+                            st.floats(0.0, 3.0, allow_nan=False))
+_tols = st.one_of(st.none(), st.sampled_from([0.0, 1e-12, 1e-8, 1e-6, 0.6, -1e-9]))
+
+
+@st.composite
+def _check_inputs(draw):
+    p = draw(st.integers(0, 8))
+    beta = np.array(draw(st.lists(_entries, min_size=p, max_size=p)), dtype=float)
+    grad = np.array(draw(st.lists(_entries, min_size=p, max_size=p)), dtype=float)
+    mode = draw(st.integers(0, 2))
+    if mode == 1:  # a gradient that ties with the coefficients
+        grad = np.where(np.isnan(grad), grad, -beta)
+    elif mode == 2:  # exact gradient ties within groups
+        grad = np.array(draw(st.lists(st.sampled_from([0.0, -0.0, 0.5, -0.5]),
+                                      min_size=p, max_size=p)), dtype=float)
+    lam = np.sort(np.array(draw(st.lists(_weight_entries, min_size=p, max_size=p)),
+                           dtype=float))
+    if draw(st.integers(0, 9)) == 0 and p >= 2:  # descending weights are rejected
+        lam = lam[::-1].copy()
+    return beta, grad, lam, draw(_tols), draw(_tols), draw(_tols)
+
+
+class TestOracleBitIdentity:
+    @given(_check_inputs())
+    def test_check_matches_frozen_oracle(self, inputs):
+        beta, grad, lam, tol_eq, tol_ineq, tie_tol = inputs
+        kwargs = dict(tol_eq=tol_eq, tol_ineq=tol_ineq, tie_tol=tie_tol)
+        _assert_same_report(_outcome(check_optimality, beta, grad, lam, **kwargs),
+                            _outcome(_old_check_optimality, beta, grad, lam, **kwargs))
+
+    @given(_check_inputs())
+    def test_structure_matches_frozen_oracle(self, inputs):
+        beta, grad, _, _, _, tie_tol = inputs
+        tol = 1e-8 if tie_tol is None else tie_tol
+        _assert_same_structure(_outcome(structure_from_beta, beta, grad, tol),
+                               _outcome(_old_structure_from_beta, beta, grad, tol))
+
+    @given(st.data())
+    def test_signs_and_order_matches_frozen_oracle(self, data):
+        beta, grad, *_ = data.draw(_check_inputs())
+        p = beta.size
+        # arbitrary group lists: most partition the coordinates, some drop,
+        # repeat or leave out indices, and nonzero groups may be empty
+        n_groups = data.draw(st.integers(1, 4))
+        label = data.draw(st.lists(st.integers(0, n_groups - 1), min_size=p, max_size=p))
+        groups = [data.draw(st.permutations([i for i in range(p) if label[i] == g]))
+                  for g in range(n_groups)]
+        if p and data.draw(st.integers(0, 4)) == 0:
+            groups[data.draw(st.integers(0, n_groups - 1))].append(
+                data.draw(st.integers(-1, p)))
+        level_tol = data.draw(st.one_of(st.none(), st.sampled_from([0.0, 1e-8, 0.6, 5.0])))
+        new = _outcome(signs_and_order, beta, grad, groups, level_tol)
+        old = _outcome(_old_signs_and_order, beta, grad, groups, level_tol)
+        if not _assert_same_outcome(new, old):
+            assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                       for a, b in zip(new, old))
+
+    @pytest.mark.parametrize("beta, grad", [
+        ([], []),
+        ([0.0], [0.5]),
+        ([-0.0], [-0.5]),
+        ([0.0, -0.0, 0.0], [1.0, -1.0, 0.0]),
+        ([1.0, -1.0, 1.0 + 1e-9, 2.0], [0.0, 0.0, 0.0, -1.0]),
+        ([1.0, 1.0, 1.0], [0.3, 0.3, -0.3]),
+        ([np.nan, 1.0], [0.0, 0.0]),
+        ([0.0, 1.0], [np.nan, 0.5]),
+        ([1.0, 1.0], [np.nan, 0.5]),
+        ([0.5, 1.0], [0.0]),
+    ])
+    @pytest.mark.parametrize("lam", ["zero", "tied", "spread"])
+    def test_edge_cases(self, beta, grad, lam):
+        beta, grad = np.array(beta, dtype=float), np.array(grad, dtype=float)
+        p = beta.size
+        lam = {"zero": np.zeros(p), "tied": np.full(p, 0.7),
+               "spread": np.linspace(0.0, 1.5, p)}[lam]
+        _assert_same_report(_outcome(check_optimality, beta, grad, lam),
+                            _outcome(_old_check_optimality, beta, grad, lam))
+        _assert_same_structure(_outcome(structure_from_beta, beta, grad, 1e-8),
+                               _outcome(_old_structure_from_beta, beta, grad, 1e-8))
+
+    def test_nan_coefficient_breaks_the_partition(self):
+        with pytest.raises(InconsistentGroupsError,
+                           match="groups do not partition the coordinates"):
+            structure_from_beta(np.array([0.0, np.nan, 1.0]), np.zeros(3), 1e-8)
+        with pytest.raises(InconsistentGroupsError,
+                           match="groups do not partition the coordinates"):
+            check_optimality(np.array([np.nan]), np.zeros(1), np.ones(1))

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from slopepath import ProblemInstance, SolverOptions, solve_slope, sorted_l1_prox
 from slopepath.errors import DidNotConvergeError, ValidationError
-from slopepath.prox import slope_objective
+from slopepath.model import check_weight_order
+from slopepath.optimality import check_optimality
+from slopepath.prox import SolveResult, _lipschitz_estimate, slope_objective
 
 from conftest import prox_bruteforce, random_ascending_weights
 
@@ -117,3 +120,197 @@ class TestSolveSlope:
         resid = t2_instance.y - t2_instance.X @ beta
         direct = 0.5 * resid @ resid + np.sort(np.abs(beta)) @ lam
         assert val == pytest.approx(direct)
+
+
+# Frozen copies of the numpy-scalar PAV prox and of the solver loop that
+# evaluated X z, X x_new and the weight check separately; the current code
+# must reproduce their output bit for bit.
+
+
+def _old_sorted_l1_prox(v, weights):
+    v = np.asarray(v, dtype=float)
+    lam = np.asarray(weights, dtype=float)
+    if v.shape != lam.shape or v.ndim != 1:
+        raise ValidationError("v and weights must be 1-d vectors of equal length")
+    check_weight_order(lam)
+    p = v.size
+    order = np.argsort(-np.abs(v), kind="stable")
+    d = np.abs(v)[order] - lam[::-1]
+    block_sum = np.empty(p)
+    block_len = np.empty(p, dtype=int)
+    top = -1
+    for i in range(p):
+        top += 1
+        block_sum[top] = d[i]
+        block_len[top] = 1
+        while top > 0 and block_sum[top] * block_len[top - 1] > block_sum[top - 1] * block_len[top]:
+            block_sum[top - 1] += block_sum[top]
+            block_len[top - 1] += block_len[top]
+            top -= 1
+    fitted = np.empty(p)
+    pos = 0
+    for b in range(top + 1):
+        fitted[pos: pos + block_len[b]] = block_sum[b] / block_len[b]
+        pos += block_len[b]
+    out = np.zeros(p)
+    out[order] = np.maximum(fitted, 0.0)
+    return np.sign(v) * out
+
+
+def _old_slope_objective(instance, weights, beta):
+    beta = np.asarray(beta, dtype=float)
+    resid = instance.y - instance.X @ beta
+    val = 0.5 * float(resid @ resid)
+    if instance.ridge:
+        val += 0.5 * instance.ridge * float(beta @ beta)
+    return val + float(np.sort(np.abs(beta)) @ np.asarray(weights, dtype=float))
+
+
+def _old_solve_slope(instance, weights, options, beta0=None):
+    lam = np.asarray(weights, dtype=float)
+    check_weight_order(lam)
+    tol = options.stop_tolerance * (1.0 + float(np.max(lam, initial=0.0)))
+    L = 1.05 * _lipschitz_estimate(instance, options) if options.step_rule == "power" else 1.0
+    L = max(L, 1e-12)
+    x = np.zeros(instance.p) if beta0 is None else np.asarray(beta0, dtype=float).copy()
+    z = x.copy()
+    t = 1.0
+    fx = _old_slope_objective(instance, lam, x)
+    history = [fx] if options.record_objective else []
+
+    def _smooth(beta):
+        resid = instance.y - instance.X @ beta
+        val = 0.5 * float(resid @ resid)
+        if instance.ridge:
+            val += 0.5 * instance.ridge * float(beta @ beta)
+        return val
+
+    report = None
+    for it in range(1, options.max_iterations + 1):
+        g = instance.gradient(z)
+        x_new = _old_sorted_l1_prox(z - g / L, lam / L)
+        fz = _smooth(z)
+        while True:
+            diff = x_new - z
+            quad = fz + float(g @ diff) + 0.5 * L * float(diff @ diff)
+            if _smooth(x_new) <= quad + 1e-12 * (1.0 + abs(quad)):
+                break
+            L *= 2.0
+            x_new = _old_sorted_l1_prox(z - g / L, lam / L)
+        f_new = _old_slope_objective(instance, lam, x_new)
+        if options.use_restart and f_new > fx + 1e-12 * (1.0 + abs(fx)):
+            z = x.copy()
+            t = 1.0
+            g = instance.gradient(z)
+            x_new = _old_sorted_l1_prox(z - g / L, lam / L)
+            f_new = _old_slope_objective(instance, lam, x_new)
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        z = x_new + ((t - 1.0) / t_new) * (x_new - x)
+        x, fx, t = x_new, f_new, t_new
+        if options.record_objective:
+            history.append(fx)
+        if it % options.check_every == 0 or it == options.max_iterations:
+            report = check_optimality(x, instance.gradient(x), lam, tol_eq=tol, tol_ineq=tol,
+                                      tie_tol=1e-7 * (1.0 + float(np.max(np.abs(x)))))
+            if report.worst_magnitude <= tol:
+                return SolveResult(beta=x, report=report, iterations=it,
+                                   objective=fx, objective_history=history)
+    raise DidNotConvergeError("", beta=x, report=report, iterations=options.max_iterations)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+_PROX_SPECIAL = [0.0, -0.0, 1.0, -1.0, 1.0 + 1e-12, 2.5, -2.5, 0.3, float("nan"),
+                 float("inf"), -float("inf")]
+
+
+@st.composite
+def _prox_inputs(draw):
+    p = draw(st.integers(0, 12))
+    entry = st.one_of(st.sampled_from(_PROX_SPECIAL), st.floats(-4.0, 4.0, width=64))
+    v = np.array(draw(st.lists(entry, min_size=p, max_size=p)), dtype=float)
+    weight = st.one_of(st.sampled_from([0.0, 0.0, 0.4, 1.0, 1.0]), st.floats(0.0, 3.0))
+    lam = np.sort(np.array(draw(st.lists(weight, min_size=p, max_size=p)), dtype=float))
+    shape = draw(st.integers(0, 19))
+    if shape == 0 and p >= 2:
+        lam = lam[::-1].copy()  # descending
+    elif shape == 1:
+        lam = lam[:-1] if p else np.zeros(1)  # length mismatch
+    elif shape == 2:
+        v, lam = v.reshape(1, -1), lam.reshape(1, -1)  # not 1-d
+    return v, lam
+
+
+class TestProxBitIdentity:
+    @given(_prox_inputs())
+    def test_matches_frozen_oracle(self, inputs):
+        v, lam = inputs
+        try:
+            old = _old_sorted_l1_prox(v, lam)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as info:
+                sorted_l1_prox(v, lam)
+            assert str(info.value) == str(exc)
+            return
+        new = sorted_l1_prox(v, lam)
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert new.tobytes() == old.tobytes()
+
+    def test_long_input_with_ties(self):
+        rng = np.random.default_rng(40)
+        for p in (1, 100, 1000):
+            v = np.round(rng.standard_normal(p), 1) * 3.0
+            lam = np.sort(np.round(rng.uniform(0.0, 2.0, p), 1))
+            assert sorted_l1_prox(v, lam).tobytes() == _old_sorted_l1_prox(v, lam).tobytes()
+
+
+def _solver_cases():
+    """Seeded solver inputs: plain and rank-deficient ridge designs, zero,
+    tied and spread weights, both step rules, restarts off, warm starts,
+    and the lam0 starts that run_path hands to the solver."""
+    rng = np.random.default_rng(41)
+    cases = []
+    for trial in range(24):
+        n, p = int(rng.integers(3, 25)), int(rng.integers(1, 10))
+        X = rng.standard_normal((n, p)) / np.sqrt(n)
+        ridge = 0.0
+        if trial % 4 == 1:
+            X[:, -1] = X[:, 0]
+            ridge = 0.3
+        y = X @ rng.standard_normal(p) + 0.2 * rng.standard_normal(n)
+        lam = np.sort(rng.uniform(0.0, 1.0, p)) * rng.uniform(0.05, 2.0)
+        if trial % 6 == 2:
+            lam = np.full(p, 0.4)
+        elif trial % 6 == 3:
+            lam[: p // 2] = 0.0
+        options = SolverOptions(record_objective=True,
+                                step_rule="backtracking" if trial % 3 == 2 else "power",
+                                use_restart=trial % 5 != 4)
+        beta0 = rng.standard_normal(p) if trial % 7 == 6 else None
+        cases.append((ProblemInstance(y=y, X=X, ridge=ridge), lam, options, beta0))
+    return cases
+
+
+class TestSolverBitIdentity:
+    @pytest.mark.parametrize("case", range(24))
+    def test_matches_frozen_loop(self, case):
+        instance, lam, options, beta0 = _solver_cases()[case]
+        new = solve_slope(instance, lam, options, beta0=beta0)
+        old = _old_solve_slope(instance, lam, options, beta0=beta0)
+        assert _bits(new.beta) == _bits(old.beta)
+        assert new.iterations == old.iterations
+        assert _bits(new.objective) == _bits(old.objective)
+        assert _bits(new.objective_history) == _bits(old.objective_history)
+        assert new.report.worst_violation == old.report.worst_violation
+
+    def test_iteration_cap_matches_frozen_loop(self):
+        instance, lam, _, _ = _solver_cases()[0]
+        options = SolverOptions(max_iterations=7, check_every=3, record_objective=True)
+        with pytest.raises(DidNotConvergeError) as new:
+            solve_slope(instance, lam, options)
+        with pytest.raises(DidNotConvergeError) as old:
+            _old_solve_slope(instance, lam, options)
+        assert _bits(new.value.beta) == _bits(old.value.beta)
+        assert new.value.iterations == old.value.iterations == 7
