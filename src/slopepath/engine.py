@@ -23,7 +23,10 @@ or the leading zero-coordinate gradient sign changing (switches).  Event
 times are kept as absolute eta values so switch events only touch the few
 entries they invalidate; each family has one timing formula, evaluated on
 every position by ``refresh`` and on the invalidated ones by the switch
-updates.  The structure is read off the starting point by
+updates.  A fuse or split is one structural edit of the groups, and the
+one candidate that would undo it at once (a floating-point bounce) is
+blanked, except a death's re-entry split under zero weights, where the
+coordinate crosses zero.  The structure is read off the starting point by
 :func:`structure_from_beta`, the same reader the optimality check uses, and
 the grouped Gram is built from scratch in one place.
 """
@@ -31,6 +34,7 @@ the grouped Gram is built from scratch in one place.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,13 +84,12 @@ class PathOptions:
     ``iteration_cap`` defaults to 50 p^2 events, a safety net against
     cycling rather than a truncation.  ``validate_every`` > 0 checks the
     cached Gram inverse against a from-scratch inversion every K events
-    and records the relative error in the path diagnostics;
-    ``check_invariants`` additionally asserts that check after every
-    structural event (debug mode).  ``negative_margin_rtol`` is how far a
-    quantity that must stay nonnegative (a suffix margin, or the gradient
-    gap between within-group neighbours) may sit below zero, relative to
-    its scale, before the state is declared broken.  ``solver`` configures
-    the initializer used when the ray starts at nonzero weights.
+    and records the relative error in the path diagnostics.
+    ``negative_margin_rtol`` is how far a quantity that must stay
+    nonnegative (a suffix margin, or the gradient gap between within-group
+    neighbours) may sit below zero, relative to its scale, before the state
+    is declared broken.  ``solver`` configures the initializer used when the
+    ray starts at nonzero weights.
     """
 
     iteration_cap: int | None = None
@@ -97,7 +100,6 @@ class PathOptions:
     group_tol_scale: float = 1e-7
     probe_tol: float = 1e-6
     solver: SolverOptions = field(default_factory=SolverOptions)
-    check_invariants: bool = False
 
 
 def _group_ydot(Xty: np.ndarray, signs: np.ndarray, members: np.ndarray) -> float:
@@ -232,18 +234,15 @@ class EngineState:
 
         # event bookkeeping
         self.n_events = 0
-        self.n_fuse = 0
-        self.n_split = 0
-        self.n_switch = 0
-        self.n_sign_switch = 0
         self.fallbacks = 0
         # tolerance decisions: events absorbed "in the past" by advance, and
         # candidates blanked as floating-point bounces, by the kind undone
         self.n_absorbed = 0
-        self.suppressed = dict.fromkeys(("merge", "death", "split", "switch_order",
-                                         "switch_sign"), 0)
+        self.suppressed = dict.fromkeys(("merge", "death", "split"), 0)
         self.gram_checks: list[tuple[int, float]] = []
-        self._suppress: dict = {}
+        # (kind, index, members) of the one candidate that would undo the
+        # structural event just applied; see _apply_suppressions
+        self._undo: tuple | None = None
 
         self.refresh()
 
@@ -304,18 +303,27 @@ class EngineState:
             self.Ainv = np.linalg.inv(self.A)
             self.fallbacks += 1
 
-    def _delete_group_algebra(self, j: int) -> None:
-        self.XGty = np.delete(self.XGty, j)
-        self.Ainv = _inv_delete(self.Ainv, j) if self.A.shape[0] > 1 else np.zeros((0, 0))
-        self.A = _sym_delete(self.A, j)
+    def _restructure(self, first: int, n_old: int, starts: np.ndarray) -> None:
+        """The one structural edit: nonzero groups first .. first + n_old - 1
+        make way for the groups that ``starts`` puts at those indices.
 
-    def _insert_group_algebra(self, k: int, absent: int = 1) -> None:
-        """Border A and Ainv with nonzero group k of ``starts``, at index k.
+        The old groups leave A, Ainv and XGty highest index first; the new
+        ones are bordered in lowest index first, each while the groups
+        above it are still absent.  That fixes the rounding of Ainv."""
+        for j in range(first + n_old - 1, first - 1, -1):
+            self.XGty = np.delete(self.XGty, j)
+            self.Ainv = _inv_delete(self.Ainv, j) if self.A.shape[0] > 1 else np.zeros((0, 0))
+            self.A = _sym_delete(self.A, j)
+        n_new = n_old + starts.size - self.starts.size
+        self.starts = starts
+        for i in range(n_new):
+            self._insert_group_algebra(first + i, absent=n_new - i)
 
-        A must hold every group of ``starts`` except k .. k + absent - 1
-        (a split inserts its two halves one at a time), so its columns are
-        not those of the old structure: ``starts`` is updated first.  The
-        cross products are the grouped rows of w = X^T x_k, x_k being the
+    def _insert_group_algebra(self, k: int, absent: int) -> None:
+        """Border A and Ainv with nonzero group k of ``starts``, at index k,
+        while A holds every group of ``starts`` except k .. k + absent - 1.
+
+        The cross products are the grouped rows of w = X^T x_k, x_k being the
         group's column.  They set the rounding of Ainv, and taken from G
         they move an ill-conditioned breakpoint of a stored benchmark path
         (perfbench path-tall, slot 0) by 2.3e-9 relative, past the 1e-9
@@ -405,28 +413,9 @@ class EngineState:
         self.suf_val = _suffix_within(self.sgrad_val, ends)
         self.suf_rate = _suffix_within(self.sgrad_rate, ends)
 
-        self._order_check()
         self._mscale = self._margin_scale()
         self._recompute_all_times()
         self._apply_suppressions()
-
-        if self.options.check_invariants:
-            err = self.scratch_check()
-            if err > 1e-8:
-                raise StructureInvariantBrokenError(
-                    f"cached inverse off by {err:.3e} at eta={self.eta!r}"
-                )
-
-    def _order_check(self) -> None:
-        grad_scale = 1.0 + float(np.max(np.abs(self.sgrad_val), initial=0.0))
-        tol = self.options.negative_margin_rtol * grad_scale
-        bad = self._same_group & (self.sgrad_val[1:] - self.sgrad_val[:-1] < -tol)
-        if np.any(bad):
-            k = int(np.flatnonzero(bad)[0])
-            raise StructureInvariantBrokenError(
-                f"within-group gradient order violated at positions {k},{k + 1} "
-                f"(eta={self.eta!r})"
-            )
 
     # -- event times --
 
@@ -452,8 +441,10 @@ class EngineState:
         self.fuse_t = self._time_to_zero(
             self.levels - np.concatenate(([0.0], self.levels[:-1])),
             self.slopeG - np.concatenate(([0.0], self.slopeG[:-1])))
-        self.split_t = self._split_times(0, self.p)
+        # the switch times check the within-group gradient order of every
+        # pair, before the split times check the margins
         self.switch_t = self._switch_times(0, max(self.p - 1, 0))
+        self.split_t = self._split_times(0, self.p)
         self.sign_t = self._sign_time()
 
     def _split_times(self, lo: int, hi: int) -> np.ndarray:
@@ -497,35 +488,32 @@ class EngineState:
             self.sgrad_val[:1] + (self.eta - self.eta_ref) * rate, rate)[0])
 
     def _apply_suppressions(self) -> None:
-        """Blank out candidates that would exactly undo the event just
-        applied (floating-point bounces; impossible in exact arithmetic)."""
-        sup = self._suppress
-        if not sup:
+        """Blank the one candidate that would exactly undo the structural
+        event just applied, if it is due now (a floating-point bounce;
+        impossible in exact arithmetic).
+
+        A fuse names the split at the old start of its upper group, which
+        undoes it while the suffix from there holds that group's members.
+        Under zero weights a dying coordinate crosses zero instead of
+        resting there, so a death over positions whose weights sum to zero
+        keeps its re-entry split.  A split names the fuse of its upper
+        group."""
+        if self._undo is None:
             return
-        window = sup["eta"] + max(self.options.timing_clamp,
-                                  4.0 * np.spacing(abs(sup["eta"]) + 1.0))
-        kind = sup["kind"]
-        if kind == "merge":
-            j = sup["group"]
-            a, b = self.slice_of_group(j)
-            upper = sup["upper"]
-            for pos in range(a + 1, b):
-                if self.split_t[pos] <= window and set(self.order[pos:b]) == upper:
-                    self.split_t[pos] = math.inf
-                    self.suppressed[kind] += 1
-        elif kind == "death":
-            dead = sup["members"]
-            p0 = self.zero_count
-            for pos in range(p0):
-                if self.split_t[pos] <= window and set(self.order[pos:p0]) == dead:
-                    self.split_t[pos] = math.inf
-                    self.suppressed[kind] += 1
-        elif kind == "split":
-            j = sup["upper_group"]
-            if j < self.fuse_t.size and self.fuse_t[j] <= window:
-                self.fuse_t[j] = math.inf
-                self.suppressed[kind] += 1
-        self._suppress = {}
+        kind, idx, members = self._undo
+        self._undo = None
+        window = self.eta + max(self.options.timing_clamp,
+                                4.0 * np.spacing(abs(self.eta) + 1.0))
+        times = self.fuse_t if kind == "split" else self.split_t
+        undo = times[idx] <= window
+        if kind != "split":
+            end = self._slice_end[idx]
+            undo = undo and np.array_equal(np.sort(self.order[idx:end]), members)
+        if kind == "death":
+            undo = undo and self._lam_suf_ref[idx] > 0
+        if undo:
+            times[idx] = math.inf
+            self.suppressed[kind] += 1
 
     # -- event selection and application --
 
@@ -581,74 +569,46 @@ class EngineState:
 
     def apply_fuse(self, j: int) -> tuple[int, int | None]:
         """Fuse group j with the level below it (the zero group for j=0)."""
-        self.n_fuse += 1
-        if j == 0:
-            a, b = self.slice_of_group(0)
-            members = self.order[a:b].copy()
-            self._delete_group_algebra(0)
-            self.starts = np.delete(self.starts, 0)
-            self.levels = np.delete(self.levels, 0)
-            self.slopeG = np.delete(self.slopeG, 0)
-            # fresh gradient -c = G beta - Xty of the zero slice, whose tail
-            # holds the newly zeroed coordinates: re-sign those, then keep
-            # the slice sorted by |gradient|
+        a, b = self.slice_of_group(j)
+        upper = self.order[a:b].copy()
+        if j:
+            # order the merged slice by the current gradient values
+            lo = int(self.starts[j - 1])
+            members = self.order[lo:b].copy()
+            sg_now = self.sgrad_val[lo:b] + (self.eta - self.eta_ref) * self.sgrad_rate[lo:b]
+            self.order[lo:b] = members[np.lexsort((members, sg_now))]
+        self._restructure(max(j - 1, 0), 1 + (j > 0), np.delete(self.starts, j))
+        if not j:
+            # fresh gradient -c = G beta - Xty of the zero slice, beta from
+            # the advanced levels of the groups left; the slice's tail holds
+            # the newly zeroed coordinates: re-sign those, then keep the
+            # slice sorted by |gradient|
+            self.levels = self.levels[1:]
             zero_members = self.order[:self.zero_count]
             zgrad = self._gram_times(self.levels[:, None])[zero_members, 0] \
                 - self.Xty[zero_members]
-            self.s[members] = np.where(zgrad[-members.size:] >= 0, 1.0, -1.0)
+            self.s[upper] = np.where(zgrad[-upper.size:] >= 0, 1.0, -1.0)
             self.order[:self.zero_count] = zero_members[np.lexsort((zero_members,
                                                                     np.abs(zgrad)))]
-            self._suppress = {"kind": "death", "eta": self.eta,
-                              "members": set(int(i) for i in members)}
-        else:
-            lo_a, lo_b = self.slice_of_group(j - 1)
-            hi_a, hi_b = self.slice_of_group(j)
-            upper = set(int(i) for i in self.order[hi_a:hi_b])
-            members = self.order[lo_a:hi_b].copy()
-            # order the merged slice by the current gradient values
-            sg_now = self.sgrad_val[lo_a:hi_b] + (self.eta - self.eta_ref) \
-                * self.sgrad_rate[lo_a:hi_b]
-            self.order[lo_a:hi_b] = members[np.lexsort((members, sg_now))]
-            self._delete_group_algebra(j)
-            self._delete_group_algebra(j - 1)
-            self.starts = np.delete(self.starts, j)
-            self._insert_group_algebra(j - 1)
-            lvl = self.levels[j - 1]
-            self.levels = np.delete(self.levels, j)
-            self.levels[j - 1] = lvl
-            self.slopeG = np.delete(self.slopeG, j)
-            self._suppress = {"kind": "merge", "eta": self.eta,
-                              "group": j - 1, "upper": upper}
+        self._undo = ("merge" if j else "death", a, np.sort(upper))
         self._probe_inverse()
         self.refresh()
         return j, None
 
     def apply_split(self, pos: int) -> tuple[int, int]:
         """Split at a suffix start position; returns grouped (g, k) labels."""
-        self.n_split += 1
         g, k = self.split_label(pos)
-        if g == 0:
-            self.starts = np.concatenate(([pos], self.starts))
-            self._insert_group_algebra(0)
-            self.levels = np.concatenate(([0.0], self.levels))
-            self.slopeG = np.concatenate(([0.0], self.slopeG))
-            self._suppress = {"kind": "split", "eta": self.eta, "upper_group": 0}
-        else:
-            j = g - 1
-            self._delete_group_algebra(j)
-            self.starts = np.insert(self.starts, j + 1, pos)
-            self._insert_group_algebra(j, absent=2)
-            self._insert_group_algebra(j + 1)
-            self.levels = np.insert(self.levels, j + 1, self.levels[j])
-            self.slopeG = np.insert(self.slopeG, j + 1, self.slopeG[j])
-            self._suppress = {"kind": "split", "eta": self.eta, "upper_group": j + 1}
+        self._restructure(max(g - 1, 0), int(g > 0), np.insert(self.starts, g, pos))
+        self._undo = ("split", g, None)
         self._probe_inverse()
         self.refresh()
         return g, k
 
     def apply_switch(self, k: int) -> None:
-        """Swap the coordinates at positions k and k+1 (same group)."""
-        self.n_switch += 1
+        """Swap the coordinates at positions k and k+1 (same group).
+
+        The swap negates the pair's gradient difference and rate exactly,
+        so the pair's new switch time is inf."""
         if self._slice_end[k] != self._slice_end[k + 1]:
             raise NumericalError("switch across a group boundary")
         self.order[[k, k + 1]] = self.order[[k + 1, k]]
@@ -662,16 +622,11 @@ class EngineState:
         self.split_t[k + 1] = self._split_times(k + 1, k + 2)[0]
         lo, hi = max(k - 1, 0), min(k + 2, self.switch_t.size)
         self.switch_t[lo:hi] = self._switch_times(lo, hi)
-        # the pair that just swapped cannot immediately swap back
-        if self.switch_t.size > k and self.switch_t[k] <= self.eta + self.options.timing_clamp:
-            self.switch_t[k] = math.inf
-            self.suppressed["switch_order"] += 1
         if k == 0:
             self.sign_t = self._sign_time()
 
     def apply_sign_switch(self) -> None:
         """Flip the sign assigned to the leading zero-group coordinate."""
-        self.n_sign_switch += 1
         if self.zero_count == 0:
             raise NumericalError("sign switch without zeroed coordinates")
         i0 = self.order[0]
@@ -686,9 +641,6 @@ class EngineState:
         self.split_t[0] = self._split_times(0, 1)[0]
         self.switch_t[:1] = self._switch_times(0, min(1, self.switch_t.size))
         self.sign_t = self._sign_time()
-        if self.sign_t <= self.eta + self.options.timing_clamp:
-            self.sign_t = math.inf
-            self.suppressed["switch_sign"] += 1
 
 
 def _suffix_within(values: np.ndarray, slice_ends: np.ndarray) -> np.ndarray:
@@ -813,6 +765,7 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
         seg_beta = state.scatter_beta()
         seg_slope = state.scatter_slope()
 
+    kinds = Counter(e.kind for e in events)
     provenance = {
         "instance_hash": instance_hash(instance),
         "ray": ray.describe(),
@@ -823,10 +776,10 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
         },
         "diagnostics": {
             "events": state.n_events,
-            "fuse_events": state.n_fuse,
-            "split_events": state.n_split,
-            "switch_events": state.n_switch,
-            "sign_switch_events": state.n_sign_switch,
+            "fuse_events": kinds["fuse"],
+            "split_events": kinds["split"],
+            "switch_events": kinds["switch_order"],
+            "sign_switch_events": kinds["switch_sign"],
             "fallback_refactorizations": state.fallbacks,
             "min_schur_ratio": state.min_schur_ratio,
             "absorbed_events": state.n_absorbed,

@@ -143,10 +143,6 @@ class GroupStructure:
     def group_sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
 
-    def member_positions(self, j: int) -> slice:
-        """Positions of nonzero group j in ``order``."""
-        return slice(int(self.offsets[j]), int(self.offsets[j + 1]))
-
     def groups(self) -> list[np.ndarray]:
         """Index sets [zero group, G_1, ..., G_gbar] in ascending level order."""
         return np.split(np.array(self.order, dtype=int), self.offsets[:-1])
@@ -154,18 +150,6 @@ class GroupStructure:
     def scatter_beta(self) -> np.ndarray:
         """Full coefficient vector from levels and signs."""
         return scatter_groups(self.order, self.offsets, self.signs, self.levels)
-
-    def check(self, level_tol: float = 0.0) -> None:
-        """Assert the partition/ordering invariants (tolerance on ties)."""
-        if np.sort(self.order).tolist() != list(range(self.p)):
-            raise ValidationError("order is not a permutation")
-        if self.offsets[-1] != self.p or np.any(np.diff(self.offsets) <= 0):
-            raise ValidationError("group offsets do not partition the coordinates")
-        if self.levels.size:
-            if self.levels[0] < -level_tol:
-                raise ValidationError("negative group value")
-            if np.any(np.diff(self.levels) < -level_tol):
-                raise ValidationError("group values not ascending")
 
 
 def scatter_groups(order, offsets, signs, grouped) -> np.ndarray:

@@ -1,5 +1,7 @@
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +35,8 @@ from slopepath.engine import (
     next_split_times,
     next_switch_times,
 )
-from slopepath.errors import IterationCapError, ValidationError
+from slopepath.errors import IterationCapError, StructureInvariantBrokenError, ValidationError
+from slopepath.weights import design_sequence
 
 
 def make_state(instance, ray, options=None):
@@ -548,47 +551,159 @@ class TestGramForm:
         assert path.provenance["diagnostics"]["min_schur_ratio"] is None
 
 
+def _integer_case(X, y, ridge, lam_bar):
+    inst = ProblemInstance(y=np.array(y, dtype=float), X=np.array(X, dtype=float),
+                           ridge=ridge)
+    return inst, validate_ray(np.zeros(len(lam_bar)), np.array(lam_bar, dtype=float))
+
+
 # Small integer designs (X, y, ridge, lam_bar) whose paths make the named
 # tolerance decision at least once
 _DECISION_CASES = {
     "absorbed": ([[0, 1, -1], [-2, 1, 0], [-1, 0, 0]], [-1, -3, 3], 0.5, [1, 2, 3]),
     "merge": ([[1, 0, 1], [1, -1, 1], [-1, 0, -1]], [2, -1, 1], 0.25, [2, 2, 3]),
-    "death": ([[-1, -1], [0, -2]], [2, -1], 0.5, [0, 2]),
     "split": ([[0, 1, 0], [-1, 1, -1], [0, -1, 0]], [-2, 2, -1], 0.25, [1, 3, 3]),
 }
+
+
+def _kkt_at_midpoints(path, inst, ray):
+    for seg in path.segments:
+        mid = 0.5 * (seg.eta_start + seg.eta_end) if math.isfinite(seg.eta_end) \
+            else seg.eta_start + 1.0
+        beta = eval_path(path, mid)
+        lam = ray.at(mid)
+        tol = 1e-7 * (1.0 + lam.max())
+        report = check_optimality(beta, inst.gradient(beta), lam, tol_eq=tol, tol_ineq=tol)
+        assert report.optimal, f"eta={mid}: {report.worst_violation}"
 
 
 class TestDecisionCounters:
     @pytest.mark.parametrize("case", sorted(_DECISION_CASES))
     def test_path_counts_its_decisions(self, case):
-        X, y, ridge, lam_bar = _DECISION_CASES[case]
-        inst = ProblemInstance(y=np.array(y, dtype=float), X=np.array(X, dtype=float),
-                               ridge=ridge)
-        diag = run_path(inst, validate_ray(np.zeros(len(lam_bar)),
-                                           np.array(lam_bar, dtype=float))
-                        ).provenance["diagnostics"]
+        diag = run_path(*_integer_case(*_DECISION_CASES[case])).provenance["diagnostics"]
         counts = {"absorbed": diag["absorbed_events"], **diag["suppressed_bounces"]}
         assert counts[case] >= 1
-        assert set(diag["suppressed_bounces"]) == {"merge", "death", "split",
-                                                   "switch_order", "switch_sign"}
+        assert set(diag["suppressed_bounces"]) == {"merge", "death", "split"}
 
     @pytest.mark.parametrize("kind", ["switch_order", "switch_sign"])
     def test_swap_back_guard_counts(self, kind):
-        # on a path the swapped pair's difference and rate flip sign exactly,
-        # so its new time is never "now"; swapping back at the same eta is
-        # the bounce the guard blanks
+        # the swap negates the pair's gradient difference and rate exactly,
+        # so a switch taken at a negative rate leaves a positive one: the
+        # pair's new time is inf, no swap back is due and none is counted
         state = _state_with_pending_switch(kind)
         t, _, idx = state.next_event()
         state.step(t, kind, idx)
-        before = dict(state.suppressed)
-        assert before[kind] == 0
         if kind == "switch_order":
-            state.apply_switch(idx)
-            assert math.isinf(state.switch_t[idx])
+            rate = state.sgrad_rate[idx + 1] - state.sgrad_rate[idx]
+            assert rate > 0 and math.isinf(state.switch_t[idx])
         else:
-            state.apply_sign_switch()
-            assert math.isinf(state.sign_t)
-        assert state.suppressed == {**before, kind: 1}
+            assert state.sgrad_rate[0] > 0 and math.isinf(state.sign_t)
+        assert state.suppressed == dict.fromkeys(("merge", "death", "split"), 0)
+
+    def test_death_bounce_is_blanked_under_positive_weights(self):
+        # no small design with a positive first weight is known to bounce
+        # after a death, so the re-entry split of the dead group is planted
+        # as due at the death instant; the bounce rule must blank it
+        state = _bh8_state()
+        while True:
+            t, kind, idx = state.next_event()
+            assert math.isfinite(t), "no death on this path"
+            if (kind, idx) == ("fuse", 0):
+                break
+            state.step(t, kind, idx)
+        a, b = state.slice_of_group(0)
+        assert state.ray.at(t)[a:b].sum() > 0
+        recompute = state._recompute_all_times
+
+        def planted():
+            recompute()
+            state.split_t[a] = state.eta
+
+        state._recompute_all_times = planted
+        state.step(t, kind, idx)
+        assert state.zero_count == b and math.isinf(state.split_t[a])
+        assert state.suppressed == {"merge": 0, "death": 1, "split": 0}
+
+
+class TestZeroFirstWeight:
+    """With a zero first weight a coordinate reaching zero crosses it: the
+    re-entry split after its death is a real event, not a bounce."""
+
+    def test_two_column_crossing_matches_solver(self):
+        rng = np.random.default_rng(19)
+        X = rng.standard_normal((5, 2))
+        y = rng.standard_normal(5)
+        inst = ProblemInstance(y=y, X=X)
+        ray = validate_ray(np.zeros(2), np.array([0.0, 1.0]))
+        path = run_path(inst, ray)
+        kinds = [(e.kind, e.g) for e in path.breakpoints()]
+        assert kinds[:2] == [("fuse", 0), ("split", 0)]
+        for eta in (1.5, 1.7, 3.0):
+            res = solve_slope(inst, ray.at(eta))
+            assert np.max(np.abs(eval_path(path, eta) - res.beta)) < 1e-7
+        _kkt_at_midpoints(path, inst, ray)
+
+    def test_decision_case_death_is_not_a_bounce(self):
+        # both coordinates reach zero at eta = 1 under the weights (0, 2):
+        # the first death keeps its re-entry split, which the second death
+        # wins on tie priority
+        inst, ray = _integer_case([[-1, -1], [0, -2]], [2, -1], 0.5, [0, 2])
+        path = run_path(inst, ray)
+        assert [(e.kind, e.g, e.eta) for e in path.breakpoints()] \
+            == [("fuse", 0, 1.0), ("fuse", 0, 1.0)]
+        assert path.provenance["diagnostics"]["suppressed_bounces"]["death"] == 0
+        for eta in (0.5, 2.0):
+            res = solve_slope(inst, ray.at(eta))
+            assert np.max(np.abs(eval_path(path, eta) - res.beta)) < 1e-7
+
+    @pytest.mark.parametrize("design,q", [("bh", 1.0), ("oscar", 0.0)])
+    def test_scenario1_paths_run_and_pass_kkt(self, design, q):
+        for seed in range(10):
+            inst, _ = generate(ScenarioSpec(scenario=1, p=20, n=200, seed=seed))
+            lam = design_sequence(design, 20, q=q, n=200)
+            assert lam[0] == 0.0
+            ray = validate_ray(np.zeros(20), lam)
+            _kkt_at_midpoints(run_path(inst, ray), inst, ray)
+
+
+class TestStructureChecks:
+    def test_inverted_pair_in_fused_group_is_caught(self):
+        state = _bh8_state()
+        while True:
+            sizes = np.diff(state.starts)
+            gaps = np.diff(state.sgrad_val)
+            wide = [j for j in np.flatnonzero(sizes > 1)
+                    if np.max(gaps[state.starts[j]:state.starts[j + 1] - 1]) > 1e-3]
+            if wide:
+                break
+            t, kind, idx = state.next_event()
+            assert math.isfinite(t), "no fused group on this path"
+            state.step(t, kind, idx)
+        a, b = state.slice_of_group(int(wide[0]))
+        k = a + int(np.argmax(gaps[a:b - 1]))
+        state.order[[k, k + 1]] = state.order[[k + 1, k]]
+        with pytest.raises(StructureInvariantBrokenError, match="order"):
+            state.refresh()
+
+
+_PINNED = json.loads((Path(__file__).with_name("pinned_paths.json")).read_text())
+
+
+class TestPinnedPaths:
+    """Small paths recorded before the structural events were unified: event
+    kinds and (g, k) labels exactly, breakpoints to 1e-9 relative."""
+
+    @pytest.mark.parametrize("case", _PINNED,
+                             ids=[f"s{c['scenario']}-p{c['p']}-{c['design']}" for c in _PINNED])
+    def test_path_matches_recording(self, case):
+        inst, _ = generate(ScenarioSpec(scenario=case["scenario"], p=case["p"],
+                                        n=case["n"], seed=case["seed"]))
+        lam = design_sequence(case["design"], case["p"], q=case["q"], n=case["n"])
+        path = run_path(inst, validate_ray(np.zeros(case["p"]), lam))
+        events = [e for e in path.events if e.kind != "terminate"]
+        assert [e.kind for e in events] == case["kinds"]
+        assert [[e.g, e.k] for e in events] == case["labels"]
+        assert [e.eta for e in events] == pytest.approx(case["eta"], rel=1e-9, abs=0)
 
 
 def _extended_split_time(state, pos):
