@@ -149,7 +149,9 @@ def _cmd_path(args) -> int:
         f"{diag['switch_events'] + diag['sign_switch_events']} switch), "
         f"min Schur ratio {diag['min_schur_ratio']}, "
         f"{diag['absorbed_events']} absorbed, "
-        f"{sum(diag['suppressed_bounces'].values())} suppressed bounces\n"
+        f"{sum(diag['suppressed_bounces'].values())} suppressed bounces, "
+        f"insert memo {diag['insert_memo']['hits']} hits / "
+        f"{diag['insert_memo']['misses']} misses\n"
     )
     return 0
 

@@ -12,10 +12,13 @@ where Ainv is the cached inverse of A = XG^T XG plus the ridge-size
 diagonal.  The gradient terms c = X^T y - G beta and d = G slope come from
 G = X^T X and X^T y, formed once per run, read on the nonzero coordinates
 only (O(p * nnz) per refresh).  XG is never held: a group entering A
-borders it with the cross products of its column x_k = X S_k (O(n p) per
-insert), and the from-scratch oracle (:func:`grouped_design`,
-:func:`segment_solution`, :meth:`EngineState.scratch_check`) builds XG
-from X to check the cached inverse.  Three event families end a
+borders it with the cross products of its column x_k = X S_k.  Only a
+group not seen before in the run reads X for them (O(n p)); one that forms
+again (the same ordered members and signs) takes the memoized bits, so A
+and Ainv round as if X had been read.  The from-scratch oracle
+(:func:`grouped_design`, :func:`segment_solution`,
+:meth:`EngineState.scratch_check`) builds XG from X to check the cached
+inverse.  Three event families end a
 segment: adjacent group values colliding (fuse, including a group hitting
 zero), a grouped inequality margin reaching zero (split, including
 activations out of the zero group), and the within-group gradient order
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -206,8 +209,11 @@ class EngineState:
     once by ``run_path`` (see :func:`gram_data`).  ``refresh`` takes the
     gradient terms c = Xty - G beta and d = G slope from them; a bordered
     insert takes its cross products from X and the entering group's
-    column.  ``A``/``Ainv`` are the grouped Gram XG^T XG + ridge *
-    diag(sizes) and its cached inverse, and ``XGty`` = S^T Xty.
+    column, but only for a group not seen before in the run: ``_cross``
+    memoizes them per (ordered members, signs), at most n entries, oldest
+    evicted first, so it never holds more floats than X.  ``A``/``Ainv``
+    are the grouped Gram XG^T XG + ridge * diag(sizes) and its cached
+    inverse, and ``XGty`` = S^T Xty.
     """
 
     def __init__(self, instance: ProblemInstance, ray: WeightRay,
@@ -231,6 +237,8 @@ class EngineState:
         self.order, self.starts, self.s = structure.order, structure.offsets, structure.signs
         self.XGty, self.A = _grouped_system(structure, instance.X, self.Xty, self.ridge)
         self.Ainv = np.linalg.inv(self.A) if self.n_groups else np.zeros((0, 0))
+        self._cross: dict[tuple[bytes, bytes], tuple[np.ndarray, float]] = {}
+        self.insert_memo = {"hits": 0, "misses": 0}
 
         # event bookkeeping
         self.n_events = 0
@@ -310,8 +318,8 @@ class EngineState:
         The old groups leave A, Ainv and XGty highest index first; the new
         ones are bordered in lowest index first, each while the groups
         above it are still absent.  That fixes the rounding of Ainv."""
+        self.XGty = np.concatenate((self.XGty[:first], self.XGty[first + n_old:]))
         for j in range(first + n_old - 1, first - 1, -1):
-            self.XGty = np.delete(self.XGty, j)
             self.Ainv = _inv_delete(self.Ainv, j) if self.A.shape[0] > 1 else np.zeros((0, 0))
             self.A = _sym_delete(self.A, j)
         n_new = n_old + starts.size - self.starts.size
@@ -324,17 +332,17 @@ class EngineState:
         while A holds every group of ``starts`` except k .. k + absent - 1.
 
         The cross products are the grouped rows of w = X^T x_k, x_k being the
-        group's column.  They set the rounding of Ainv, and taken from G
-        they move an ill-conditioned breakpoint of a stored benchmark path
-        (perfbench path-tall, slot 0) by 2.3e-9 relative, past the 1e-9
+        group's column, read from X only the first time the group enters
+        (:meth:`_cross_products`).  They set the rounding of Ainv, and taken
+        from G they move an ill-conditioned breakpoint of a stored benchmark
+        path (perfbench path-tall, slot 0) by 2.3e-9 relative, past the 1e-9
         the references are held to."""
         starts = self.starts
         members = self.order[starts[k]:starts[k + 1]]
-        col = _group_column(self.X, self.s, members)
-        w = self.X.T @ col
+        w, colsq = self._cross_products(members)
         sums = np.add.reduceat(-self.s[self.order] * w[self.order], starts[:-1])
-        alpha = float(col @ col) + self.ridge * members.size
-        a = np.delete(sums, slice(k, k + absent))
+        alpha = colsq + self.ridge * members.size
+        a = np.concatenate((sums[:k], sums[k + absent:]))
         v = self.Ainv @ a
         schur = alpha - float(a @ v)
         ratio = schur / alpha
@@ -347,7 +355,24 @@ class EngineState:
         else:
             self.Ainv = np.linalg.inv(self.A)
             self.fallbacks += 1
-        self.XGty = np.insert(self.XGty, k, _group_ydot(self.Xty, self.s, members))
+        self.XGty = np.concatenate((self.XGty[:k], [_group_ydot(self.Xty, self.s, members)],
+                                    self.XGty[k:]))
+
+    def _cross_products(self, members: np.ndarray) -> tuple[np.ndarray, float]:
+        """(X^T x, x . x) for the group column x of ``members`` (in order)
+        under the current signs, memoized for the run: the same bits as a
+        fresh pass over X, which only a group not seen before pays."""
+        key = (members.tobytes(), self.s[members].tobytes())
+        hit = self._cross.get(key)
+        if hit is not None:
+            self.insert_memo["hits"] += 1
+            return hit
+        self.insert_memo["misses"] += 1
+        if len(self._cross) >= self.X.shape[0]:
+            del self._cross[next(iter(self._cross))]
+        col = _group_column(self.X, self.s, members)
+        hit = self._cross[key] = (self.X.T @ col, float(col @ col))
+        return hit
 
     def _gram_times(self, grouped: np.ndarray) -> np.ndarray:
         """G times the coefficient-space vector of each column of
@@ -577,7 +602,8 @@ class EngineState:
             members = self.order[lo:b].copy()
             sg_now = self.sgrad_val[lo:b] + (self.eta - self.eta_ref) * self.sgrad_rate[lo:b]
             self.order[lo:b] = members[np.lexsort((members, sg_now))]
-        self._restructure(max(j - 1, 0), 1 + (j > 0), np.delete(self.starts, j))
+        self._restructure(max(j - 1, 0), 1 + (j > 0),
+                         np.concatenate((self.starts[:j], self.starts[j + 1:])))
         if not j:
             # fresh gradient -c = G beta - Xty of the zero slice, beta from
             # the advanced levels of the groups left; the slice's tail holds
@@ -598,7 +624,8 @@ class EngineState:
     def apply_split(self, pos: int) -> tuple[int, int]:
         """Split at a suffix start position; returns grouped (g, k) labels."""
         g, k = self.split_label(pos)
-        self._restructure(max(g - 1, 0), int(g > 0), np.insert(self.starts, g, pos))
+        self._restructure(max(g - 1, 0), int(g > 0),
+                         np.concatenate((self.starts[:g], [pos], self.starts[g:])))
         self._undo = ("split", g, None)
         self._probe_inverse()
         self.refresh()
@@ -769,11 +796,9 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
     provenance = {
         "instance_hash": instance_hash(instance),
         "ray": ray.describe(),
-        "options": {
-            "iteration_cap": cap,
-            "validate_every": options.validate_every,
-            "timing_clamp": options.timing_clamp,
-        },
+        # every scalar knob, so a saved path names the tolerances that shaped it
+        "options": {**{f.name: getattr(options, f.name) for f in fields(options)
+                       if f.name != "solver"}, "iteration_cap": cap},
         "diagnostics": {
             "events": state.n_events,
             "fuse_events": kinds["fuse"],
@@ -784,6 +809,7 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
             "min_schur_ratio": state.min_schur_ratio,
             "absorbed_events": state.n_absorbed,
             "suppressed_bounces": dict(state.suppressed),
+            "insert_memo": dict(state.insert_memo),
             "gram_checks": [[i, err] for i, err in state.gram_checks],
         },
     }

@@ -54,6 +54,8 @@ class TestSimulateAndPath:
         assert f"min Schur ratio {ratio}" in err
         assert f"{diag['absorbed_events']} absorbed, " \
             f"{sum(diag['suppressed_bounces'].values())} suppressed bounces" in err
+        memo = diag["insert_memo"]
+        assert f"insert memo {memo['hits']} hits / {memo['misses']} misses" in err
 
         header, *rows = events_file.read_text().strip().splitlines()
         assert header == "index,eta,kind,g,k"

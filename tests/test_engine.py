@@ -26,6 +26,7 @@ from slopepath import (
 )
 from slopepath.datagen import ScenarioSpec, generate
 from slopepath.engine import (
+    _group_column,
     _inv_delete,
     _sym_delete,
     _sym_insert,
@@ -792,3 +793,82 @@ class TestSwitchCost:
             assert len(times) >= 30, f"too few switches at p={p}"
             medians[p] = float(np.median(times))
         assert medians[160] <= 3.0 * medians[40] + 1e-4
+
+
+def _path_record(path):
+    """Everything a path run reports, apart from the insert memo counts."""
+    diag = {k: v for k, v in path.provenance["diagnostics"].items() if k != "insert_memo"}
+    events = [(e.kind, e.eta, e.g, e.k, e.nnz, e.n_groups) for e in path.events]
+    segments = [(s.eta_start, s.eta_end, s.beta_start.tobytes(), s.slope.tobytes())
+                for s in path.segments]
+    return events, segments, diag
+
+
+class TestInsertMemo:
+    """A group that forms again takes its cross products from the memo,
+    with the bits a fresh pass over X gives."""
+
+    @staticmethod
+    def _reforming_case():
+        inst, _ = generate(ScenarioSpec(scenario=1, p=12, n=36, seed=0))
+        return inst, validate_ray(np.zeros(12), qs_sequence(12))
+
+    def test_hits_return_fresh_bits(self, monkeypatch):
+        lookup = EngineState._cross_products
+        hits = []
+
+        def checked(state, members):
+            before = state.insert_memo["hits"]
+            w, colsq = lookup(state, members)
+            if state.insert_memo["hits"] > before:
+                col = _group_column(state.X, state.s, members)
+                assert np.array_equal(w, state.X.T @ col)
+                assert np.array_equal(colsq, float(col @ col))
+                hits.append(members.copy())
+            return w, colsq
+
+        monkeypatch.setattr(EngineState, "_cross_products", checked)
+        run_path(*self._reforming_case())
+        assert hits
+
+    def test_counts_every_insert(self, monkeypatch):
+        insert = EngineState._insert_group_algebra
+        calls = []
+
+        def counted(state, k, absent):
+            calls.append(k)
+            insert(state, k, absent)
+
+        monkeypatch.setattr(EngineState, "_insert_group_algebra", counted)
+        memo = run_path(*self._reforming_case()).provenance["diagnostics"]["insert_memo"]
+        assert memo["hits"] + memo["misses"] == len(calls)
+        assert memo["hits"] > 0
+
+    def test_eviction_leaves_the_path_unchanged(self, monkeypatch):
+        # p > n with ridge: more distinct groups enter than the n entries
+        # the memo holds, so it evicts; the path must not notice
+        inst, _ = generate(ScenarioSpec(scenario=2, p=40, n=20, seed=1))
+        inst = ProblemInstance(y=inst.y, X=inst.X, ridge=0.5)
+        ray = validate_ray(np.zeros(40), bh_sequence(40, 0.1))
+        lookup = EngineState._cross_products
+
+        def bounded(state, members):
+            out = lookup(state, members)
+            assert len(state._cross) <= inst.n
+            return out
+
+        monkeypatch.setattr(EngineState, "_cross_products", bounded)
+        memoized = run_path(inst, ray)
+        memo = memoized.provenance["diagnostics"]["insert_memo"]
+        assert memo["misses"] > inst.n and memo["hits"] > 0
+
+        insert = EngineState._insert_group_algebra
+
+        def forgetful(state, k, absent):
+            state._cross.clear()
+            insert(state, k, absent)
+
+        monkeypatch.setattr(EngineState, "_insert_group_algebra", forgetful)
+        fresh = run_path(inst, ray)
+        assert fresh.provenance["diagnostics"]["insert_memo"]["hits"] == 0
+        assert _path_record(fresh) == _path_record(memoized)

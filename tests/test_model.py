@@ -8,6 +8,7 @@ import pytest
 from slopepath import (
     GroupStructure,
     PathEvent,
+    PathOptions,
     PathSegment,
     ProblemInstance,
     SolutionPath,
@@ -148,6 +149,16 @@ class TestSerialization:
             assert np.array_equal(a.slope, b.slope)
             assert a.ending_event == b.ending_event
         assert back.provenance == path.provenance
+
+    def test_path_options_round_trip(self, tmp_path, t2_instance, t2_ray):
+        tolerances = dict(timing_clamp=2e-10, tie_rtol=3e-12, negative_margin_rtol=2e-7,
+                          group_tol_scale=5e-8, probe_tol=2e-6)
+        path = run_path(t2_instance, t2_ray,
+                        PathOptions(iteration_cap=40, validate_every=3, **tolerances))
+        save_path(path, tmp_path / "path.jsonl")
+        back = load_path(tmp_path / "path.jsonl")
+        assert back.provenance["options"] == {"iteration_cap": 40, "validate_every": 3,
+                                              **tolerances}
 
 
 class TestPathGeometry:
