@@ -8,30 +8,25 @@ eta within one structure:
 
     levels(eta) = Ainv (S^T X^T y - lamG(eta)),   d levels / d eta = -Ainv lamG_bar
 
-where Ainv is the cached inverse of A = XG^T XG plus the ridge-size
-diagonal.  The gradient terms c = X^T y - G beta and d = G slope come from
-G = X^T X and X^T y, formed once per run, read on the nonzero coordinates
-only (O(p * nnz) per refresh).  XG is never held: a group entering A
-borders it with the cross products of its column x_k = X S_k.  Only a
-group not seen before in the run reads X for them (O(n p)); one that forms
-again (the same ordered members and signs) takes the memoized bits, so A
-and Ainv round as if X had been read.  The from-scratch oracle
-(:func:`grouped_design`, :func:`segment_solution`,
-:meth:`EngineState.scratch_check`) builds XG from X to check the cached
-inverse.  Three event families end a
-segment: adjacent group values colliding (fuse, including a group hitting
-zero), a grouped inequality margin reaching zero (split, including
-activations out of the zero group), and the within-group gradient order
-or the leading zero-coordinate gradient sign changing (switches).  Event
-times are kept as absolute eta values so switch events only touch the few
-entries they invalidate; each family has one timing formula, evaluated on
-every position by ``refresh`` and on the invalidated ones by the switch
-updates.  A fuse or split is one structural edit of the groups, and the
-one candidate that would undo it at once (a floating-point bounce) is
-blanked, except a death's re-entry split under zero weights, where the
-coordinate crosses zero.  The structure is read off the starting point by
-:func:`structure_from_beta`, the same reader the optimality check uses, and
-the grouped Gram is built from scratch in one place.
+where Ainv is the inverse of A = XG^T XG plus the ridge-size diagonal and
+the only form of A held.  The gradient terms c = X^T y - G beta and
+d = G slope come from G = X^T X and X^T y, formed once per run and read on
+the nonzero coordinates only (O(p * nnz) per refresh).  A group entering
+Ainv borders it with the cross products of its column X S_k, read from X
+(O(n p)) only the first time the group forms in the run and memoized
+after that.  One method inverts the grouped Gram from scratch: at the
+start, when a bordered insert or the probe after it fails, and to check
+the cached inverse.  Three event families end a segment: adjacent group
+values colliding (fuse, including a group hitting zero), a grouped
+inequality margin reaching zero (split, including activations out of the
+zero group), and the within-group gradient order or the leading
+zero-coordinate gradient sign changing (switches).  Event times are
+absolute eta values; each family has one timing formula, evaluated on
+every position by ``refresh`` and, after a switch, on the few it
+invalidates.  A fuse or split is one structural edit, and the one
+candidate that would undo it at once, members and signs alike (a
+floating-point bounce), is blanked; under zero weights a dying coordinate
+may cross zero and re-enter with the other sign, which is kept.
 """
 
 from __future__ import annotations
@@ -87,7 +82,9 @@ class PathOptions:
     ``iteration_cap`` defaults to 50 p^2 events, a safety net against
     cycling rather than a truncation.  ``validate_every`` > 0 checks the
     cached Gram inverse against a from-scratch inversion every K events
-    and records the relative error in the path diagnostics.
+    and records the relative error in the path diagnostics.  After each
+    fuse or split one column of A^-1 A, A's column formed from G, is
+    checked against the identity; past ``probe_tol`` A is rebuilt.
     ``negative_margin_rtol`` is how far a quantity that must stay
     nonnegative (a suffix margin, or the gradient gap between within-group
     neighbours) may sit below zero, relative to its scale, before the state
@@ -155,8 +152,6 @@ def segment_solution(structure: GroupStructure, instance: ProblemInstance,
                               instance.ridge)
     lam0g, lambarg = _grouped_weight_sums(_prefix_sums(ray.lam0),
                                           _prefix_sums(ray.lam_bar), structure.offsets)
-    if not A.size:
-        return np.zeros(0), np.zeros(0)
     return np.linalg.solve(A, XGty - lam0g - eta * lambarg), -np.linalg.solve(A, lambarg)
 
 
@@ -211,9 +206,10 @@ class EngineState:
     insert takes its cross products from X and the entering group's
     column, but only for a group not seen before in the run: ``_cross``
     memoizes them per (ordered members, signs), at most n entries, oldest
-    evicted first, so it never holds more floats than X.  ``A``/``Ainv``
-    are the grouped Gram XG^T XG + ridge * diag(sizes) and its cached
-    inverse, and ``XGty`` = S^T Xty.
+    evicted first, so it never holds more floats than X.  ``Ainv`` is the
+    inverse of the grouped Gram A = XG^T XG + ridge * diag(sizes), the only
+    form of A held, and ``XGty`` = S^T Xty; :meth:`_scratch_system` builds
+    both from scratch.
     """
 
     def __init__(self, instance: ProblemInstance, ray: WeightRay,
@@ -235,8 +231,7 @@ class EngineState:
         tol = options.group_tol_scale * (1.0 + float(np.max(np.abs(beta0), initial=0.0)))
         structure = structure_from_beta(beta0, instance.gradient(beta0), tol)
         self.order, self.starts, self.s = structure.order, structure.offsets, structure.signs
-        self.XGty, self.A = _grouped_system(structure, instance.X, self.Xty, self.ridge)
-        self.Ainv = np.linalg.inv(self.A) if self.n_groups else np.zeros((0, 0))
+        self.XGty, self.Ainv = self._scratch_system()
         self._cross: dict[tuple[bytes, bytes], tuple[np.ndarray, float]] = {}
         self.insert_memo = {"hits": 0, "misses": 0}
 
@@ -248,8 +243,8 @@ class EngineState:
         self.n_absorbed = 0
         self.suppressed = dict.fromkeys(("merge", "death", "split"), 0)
         self.gram_checks: list[tuple[int, float]] = []
-        # (kind, index, members) of the one candidate that would undo the
-        # structural event just applied; see _apply_suppressions
+        # (kind, index, members, signs) of the one candidate that would undo
+        # the structural event just applied; see _apply_suppressions
         self._undo: tuple | None = None
 
         self.refresh()
@@ -270,8 +265,6 @@ class EngineState:
 
     def group_of_position(self, pos: int) -> int:
         """Nonzero group index for a position, -1 for the zero group."""
-        if pos < self.starts[0]:
-            return -1
         return int(np.searchsorted(self.starts, pos, side="right")) - 1
 
     def slice_of_group(self, j: int) -> tuple[int, int]:
@@ -285,12 +278,8 @@ class EngineState:
         return j + 1, pos - self.slice_of_group(j)[0] + 1
 
     def to_structure(self) -> GroupStructure:
-        return GroupStructure(
-            order=self.order.copy(),
-            offsets=self.starts.copy(),
-            levels=self.levels.copy(),
-            signs=self.s.copy(),
-        )
+        return GroupStructure(self.order.copy(), self.starts.copy(), self.levels.copy(),
+                              self.s.copy())
 
     def scatter_beta(self) -> np.ndarray:
         return scatter_groups(self.order, self.starts, self.s, self.levels)
@@ -300,47 +289,69 @@ class EngineState:
 
     # -- linear algebra maintenance --
 
+    def _scratch_system(self) -> tuple[np.ndarray, np.ndarray]:
+        """(XGty, Ainv) built from scratch for the current groups: the one
+        place the grouped Gram is inverted."""
+        structure = GroupStructure(self.order, self.starts, np.zeros(self.n_groups), self.s)
+        XGty, A = _grouped_system(structure, self.X, self.Xty, self.ridge)
+        return XGty, np.linalg.inv(A)
+
+    def _group_sums(self, w: np.ndarray) -> np.ndarray:
+        """S^T w: the signed per-group sums of a coefficient-space vector."""
+        o = self.order
+        return np.add.reduceat(-self.s[o] * w[o], self.starts[:-1])
+
     def _probe_inverse(self) -> None:
+        """Rebuild XGty and Ainv from scratch if a bordered insert left Ainv
+        unset, or if column j of Ainv A misses e_j by more than probe_tol;
+        A's column is S^T G S e_j + ridge |g_j| e_j, formed in O(p |g_j|)."""
         m = self.n_groups
         if m == 0:
             return
-        j = self.n_events % m
-        resid = self.A @ self.Ainv[:, j]
-        resid[j] -= 1.0
-        if float(np.max(np.abs(resid))) > self.options.probe_tol:
-            self.Ainv = np.linalg.inv(self.A)
-            self.fallbacks += 1
+        if self.Ainv is not None:
+            j = self.n_events % m
+            members = self.order[self.starts[j]:self.starts[j + 1]]
+            col = self._group_sums(self.G[members].T @ -self.s[members])
+            col[j] += self.ridge * members.size
+            resid = self.Ainv @ col
+            resid[j] -= 1.0
+            if float(np.max(np.abs(resid))) <= self.options.probe_tol:
+                return
+        self.XGty, self.Ainv = self._scratch_system()
+        self.fallbacks += 1
 
     def _restructure(self, first: int, n_old: int, starts: np.ndarray) -> None:
         """The one structural edit: nonzero groups first .. first + n_old - 1
         make way for the groups that ``starts`` puts at those indices.
 
-        The old groups leave A, Ainv and XGty highest index first; the new
+        The old groups leave Ainv and XGty highest index first; the new
         ones are bordered in lowest index first, each while the groups
-        above it are still absent.  That fixes the rounding of Ainv."""
+        above it are still absent.  That fixes the rounding of Ainv.  An
+        insert whose Schur complement is <= 0 leaves Ainv unset, and the
+        probe then rebuilds the new structure from scratch once."""
         self.XGty = np.concatenate((self.XGty[:first], self.XGty[first + n_old:]))
         for j in range(first + n_old - 1, first - 1, -1):
-            self.Ainv = _inv_delete(self.Ainv, j) if self.A.shape[0] > 1 else np.zeros((0, 0))
-            self.A = _sym_delete(self.A, j)
+            self.Ainv = _inv_delete(self.Ainv, j)
         n_new = n_old + starts.size - self.starts.size
         self.starts = starts
         for i in range(n_new):
             self._insert_group_algebra(first + i, absent=n_new - i)
+            if self.Ainv is None:
+                break
+        self._probe_inverse()
 
     def _insert_group_algebra(self, k: int, absent: int) -> None:
-        """Border A and Ainv with nonzero group k of ``starts``, at index k,
-        while A holds every group of ``starts`` except k .. k + absent - 1.
+        """Border Ainv with nonzero group k of ``starts``, at index k, while
+        Ainv holds every group of ``starts`` except k .. k + absent - 1.
 
-        The cross products are the grouped rows of w = X^T x_k, x_k being the
-        group's column, read from X only the first time the group enters
-        (:meth:`_cross_products`).  They set the rounding of Ainv, and taken
-        from G they move an ill-conditioned breakpoint of a stored benchmark
-        path (perfbench path-tall, slot 0) by 2.3e-9 relative, past the 1e-9
-        the references are held to."""
+        The cross products are S^T X^T x_k for the group's column x_k, read
+        from X (:meth:`_cross_products`).  They set the rounding of Ainv:
+        taken from G they move an ill-conditioned breakpoint of perfbench
+        path-tall (slot 0) by 2.3e-9 relative, past the references' 1e-9."""
         starts = self.starts
         members = self.order[starts[k]:starts[k + 1]]
         w, colsq = self._cross_products(members)
-        sums = np.add.reduceat(-self.s[self.order] * w[self.order], starts[:-1])
+        sums = self._group_sums(w)
         alpha = colsq + self.ridge * members.size
         a = np.concatenate((sums[:k], sums[k + absent:]))
         v = self.Ainv @ a
@@ -348,13 +359,10 @@ class EngineState:
         ratio = schur / alpha
         if self.min_schur_ratio is None or ratio < self.min_schur_ratio:
             self.min_schur_ratio = ratio
-        self.A = _sym_insert(self.A, a, alpha, k)
-        if schur > 0:
-            self.Ainv = _sym_insert(self.Ainv + np.outer(v, v) / schur,
-                                    -v / schur, 1.0 / schur, k)
-        else:
-            self.Ainv = np.linalg.inv(self.A)
-            self.fallbacks += 1
+        if schur <= 0:
+            self.Ainv = None
+            return
+        self.Ainv = _sym_insert(self.Ainv + np.outer(v, v) / schur, -v / schur, 1.0 / schur, k)
         self.XGty = np.concatenate((self.XGty[:k], [_group_ydot(self.Xty, self.s, members)],
                                     self.XGty[k:]))
 
@@ -385,10 +393,7 @@ class EngineState:
     def scratch_check(self) -> float:
         """Relative Frobenius error of the cached inverse against a fresh
         rebuild of the grouped Gram from the raw design."""
-        if self.n_groups == 0:
-            return 0.0
-        _, A = _grouped_system(self.to_structure(), self.X, self.Xty, self.ridge)
-        fresh = np.linalg.inv(A)
+        _, fresh = self._scratch_system()
         denom = float(np.linalg.norm(fresh))
         return float(np.linalg.norm(self.Ainv - fresh)) / max(denom, 1e-300)
 
@@ -397,12 +402,8 @@ class EngineState:
     def refresh(self) -> None:
         m = self.n_groups
         lam0g, lambarg = _grouped_weight_sums(self.cum0, self.cumbar, self.starts)
-        if m:
-            self.levels = self.Ainv @ (self.XGty - lam0g - self.eta * lambarg)
-            self.slopeG = -(self.Ainv @ lambarg)
-        else:
-            self.levels = np.zeros(0)
-            self.slopeG = np.zeros(0)
+        self.levels = self.Ainv @ (self.XGty - lam0g - self.eta * lambarg)
+        self.slopeG = -(self.Ainv @ lambarg)
 
         level_tol = 1e-9 * (1.0 + float(np.max(self.levels, initial=0.0)))
         if m and (self.levels[0] < -level_tol or np.any(np.diff(self.levels) < -level_tol)):
@@ -518,14 +519,15 @@ class EngineState:
         impossible in exact arithmetic).
 
         A fuse names the split at the old start of its upper group, which
-        undoes it while the suffix from there holds that group's members.
-        Under zero weights a dying coordinate crosses zero instead of
-        resting there, so a death over positions whose weights sum to zero
-        keeps its re-entry split.  A split names the fuse of its upper
+        undoes it while the suffix from there holds that group's members
+        with the signs they had before the fuse.  A death re-signs its
+        members by their gradient: under zero weights a dying coordinate
+        may cross zero instead of resting there, and a re-entry with a
+        flipped sign is a real event.  A split names the fuse of its upper
         group."""
         if self._undo is None:
             return
-        kind, idx, members = self._undo
+        kind, idx, members, signs = self._undo
         self._undo = None
         window = self.eta + max(self.options.timing_clamp,
                                 4.0 * np.spacing(abs(self.eta) + 1.0))
@@ -533,9 +535,8 @@ class EngineState:
         undo = times[idx] <= window
         if kind != "split":
             end = self._slice_end[idx]
-            undo = undo and np.array_equal(np.sort(self.order[idx:end]), members)
-        if kind == "death":
-            undo = undo and self._lam_suf_ref[idx] > 0
+            undo = undo and np.array_equal(np.sort(self.order[idx:end]), members) \
+                and np.array_equal(self.s[members], signs)
         if undo:
             times[idx] = math.inf
             self.suppressed[kind] += 1
@@ -596,12 +597,14 @@ class EngineState:
         """Fuse group j with the level below it (the zero group for j=0)."""
         a, b = self.slice_of_group(j)
         upper = self.order[a:b].copy()
+        members = np.sort(upper)
+        self._undo = ("merge" if j else "death", a, members, self.s[members])
         if j:
             # order the merged slice by the current gradient values
             lo = int(self.starts[j - 1])
-            members = self.order[lo:b].copy()
+            merged = self.order[lo:b].copy()
             sg_now = self.sgrad_val[lo:b] + (self.eta - self.eta_ref) * self.sgrad_rate[lo:b]
-            self.order[lo:b] = members[np.lexsort((members, sg_now))]
+            self.order[lo:b] = merged[np.lexsort((merged, sg_now))]
         self._restructure(max(j - 1, 0), 1 + (j > 0),
                          np.concatenate((self.starts[:j], self.starts[j + 1:])))
         if not j:
@@ -616,8 +619,6 @@ class EngineState:
             self.s[upper] = np.where(zgrad[-upper.size:] >= 0, 1.0, -1.0)
             self.order[:self.zero_count] = zero_members[np.lexsort((zero_members,
                                                                     np.abs(zgrad)))]
-        self._undo = ("merge" if j else "death", a, np.sort(upper))
-        self._probe_inverse()
         self.refresh()
         return j, None
 
@@ -626,8 +627,7 @@ class EngineState:
         g, k = self.split_label(pos)
         self._restructure(max(g - 1, 0), int(g > 0),
                          np.concatenate((self.starts[:g], [pos], self.starts[g:])))
-        self._undo = ("split", g, None)
-        self._probe_inverse()
+        self._undo = ("split", g, None, None)
         self.refresh()
         return g, k
 
@@ -641,16 +641,7 @@ class EngineState:
         self.order[[k, k + 1]] = self.order[[k + 1, k]]
         self.sgrad_val[[k, k + 1]] = self.sgrad_val[[k + 1, k]]
         self.sgrad_rate[[k, k + 1]] = self.sgrad_rate[[k + 1, k]]
-        end = int(self._slice_end[k])
-        nxt = self.suf_val[k + 2] if k + 2 < end else 0.0
-        nxt_rate = self.suf_rate[k + 2] if k + 2 < end else 0.0
-        self.suf_val[k + 1] = self.sgrad_val[k + 1] + nxt
-        self.suf_rate[k + 1] = self.sgrad_rate[k + 1] + nxt_rate
-        self.split_t[k + 1] = self._split_times(k + 1, k + 2)[0]
-        lo, hi = max(k - 1, 0), min(k + 2, self.switch_t.size)
-        self.switch_t[lo:hi] = self._switch_times(lo, hi)
-        if k == 0:
-            self.sign_t = self._sign_time()
+        self._update_position(k + 1)
 
     def apply_sign_switch(self) -> None:
         """Flip the sign assigned to the leading zero-group coordinate."""
@@ -660,14 +651,22 @@ class EngineState:
         self.s[i0] = -self.s[i0]
         self.sgrad_val[0] = -self.sgrad_val[0]
         self.sgrad_rate[0] = -self.sgrad_rate[0]
-        p0 = self.zero_count
-        nxt = self.suf_val[1] if 1 < p0 else 0.0
-        nxt_rate = self.suf_rate[1] if 1 < p0 else 0.0
-        self.suf_val[0] = self.sgrad_val[0] + nxt
-        self.suf_rate[0] = self.sgrad_rate[0] + nxt_rate
-        self.split_t[0] = self._split_times(0, 1)[0]
-        self.switch_t[:1] = self._switch_times(0, min(1, self.switch_t.size))
-        self.sign_t = self._sign_time()
+        self._update_position(0)
+
+    def _update_position(self, q: int) -> None:
+        """After a switch changed the gradient at q (and at q - 1 for a swap):
+        q's suffix value and rate and split time, the switch times of the
+        pairs q - 2 .. q, and the sign time while q < 2."""
+        end = int(self._slice_end[q])
+        nxt = self.suf_val[q + 1] if q + 1 < end else 0.0
+        nxt_rate = self.suf_rate[q + 1] if q + 1 < end else 0.0
+        self.suf_val[q] = self.sgrad_val[q] + nxt
+        self.suf_rate[q] = self.sgrad_rate[q] + nxt_rate
+        self.split_t[q] = self._split_times(q, q + 1)[0]
+        lo, hi = max(q - 2, 0), min(q + 1, self.switch_t.size)
+        self.switch_t[lo:hi] = self._switch_times(lo, hi)
+        if q < 2:
+            self.sign_t = self._sign_time()
 
 
 def _suffix_within(values: np.ndarray, slice_ends: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from slopepath import (
     EngineState,
@@ -214,7 +215,7 @@ class TestApplyEvents:
         assert state.n_groups == 1
         assert state.levels == pytest.approx([1.0])
         assert state.slopeG == pytest.approx([-0.5])
-        assert state.A == pytest.approx(np.array([[2.0]]))
+        assert state.Ainv == pytest.approx(np.array([[0.5]]))
         assert state.scratch_check() < 1e-12
 
     def test_switch_leaves_slope_and_fuse_times_untouched(self):
@@ -657,6 +658,19 @@ class TestZeroFirstWeight:
             res = solve_slope(inst, ray.at(eta))
             assert np.max(np.abs(eval_path(path, eta) - res.beta)) < 1e-7
 
+    def test_integer_design_crossing_is_not_a_bounce(self):
+        # at eta = 1/3 the group {0, 1} dies and re-enters at once with
+        # beta_0's sign flipped; the weights on its positions sum to eta > 0,
+        # yet the re-entry undoes nothing and must be kept
+        inst, ray = _integer_case([[-1, -2, 1], [1, 1, -2], [0, 0, -2]], [1, -1, -2],
+                                  0.5, [0, 1, 2])
+        path = run_path(inst, ray)
+        assert list(path.breakpoints())[-1].eta == pytest.approx(4.0, rel=1e-12)
+        for eta in (0.5, 2.0, 3.0, 3.6):
+            res = solve_slope(inst, ray.at(eta))
+            assert np.max(np.abs(eval_path(path, eta) - res.beta)) < 1e-7
+        _kkt_at_midpoints(path, inst, ray)
+
     @pytest.mark.parametrize("design,q", [("bh", 1.0), ("oscar", 0.0)])
     def test_scenario1_paths_run_and_pass_kkt(self, design, q):
         for seed in range(10):
@@ -872,3 +886,88 @@ class TestInsertMemo:
         fresh = run_path(inst, ray)
         assert fresh.provenance["diagnostics"]["insert_memo"]["hits"] == 0
         assert _path_record(fresh) == _path_record(memoized)
+
+
+class TestFallbacks:
+    """The from-scratch rebuild behind the probe and the Schur fallback
+    leaves the path as the bordered updates trace it."""
+
+    @staticmethod
+    def _assert_same_path(path, reference, inst, ray):
+        assert [e.kind for e in path.events] == [e.kind for e in reference.events]
+        assert [e.eta for e in path.breakpoints()] \
+            == pytest.approx([e.eta for e in reference.breakpoints()], rel=1e-9, abs=0)
+        _kkt_at_midpoints(path, inst, ray)
+
+    def test_probe_rebuilds_past_its_tolerance(self):
+        inst, ray = TestInsertMemo._reforming_case()
+        options = PathOptions(probe_tol=0.0)
+        path = run_path(inst, ray, options)
+        assert path.provenance["diagnostics"]["fallback_refactorizations"] > 0
+        self._assert_same_path(path, run_path(inst, ray), inst, ray)
+        # a rebuild leaves the scratch inverse itself
+        state = make_state(inst, ray, options)
+        rebuilds = 0
+        while math.isfinite((event := state.next_event())[0]):
+            before = state.fallbacks
+            state.step(*event)
+            if state.fallbacks > before:
+                rebuilds += 1
+                assert state.scratch_check() == 0.0
+        assert rebuilds == path.provenance["diagnostics"]["fallback_refactorizations"]
+
+    def test_schur_fallback_rebuilds_the_new_structure(self, monkeypatch):
+        inst, ray = TestInsertMemo._reforming_case()
+        reference = run_path(inst, ray)
+        insert = EngineState._insert_group_algebra
+        forced = []
+
+        def failing_once(state, k, absent):
+            if absent == 1 or forced:
+                return insert(state, k, absent)
+            # the first of a split's two inserts: a ridge this negative
+            # makes its Schur complement negative
+            forced.append(k)
+            ridge, state.ridge = state.ridge, -1e6
+            try:
+                return insert(state, k, absent)
+            finally:
+                state.ridge = ridge
+
+        monkeypatch.setattr(EngineState, "_insert_group_algebra", failing_once)
+        path = run_path(inst, ray, PathOptions(validate_every=1))
+        diag = path.provenance["diagnostics"]
+        assert forced and diag["fallback_refactorizations"] == 1
+        assert max(err for _, err in diag["gram_checks"]) < 1e-12
+        self._assert_same_path(path, reference, inst, ray)
+
+
+@st.composite
+def _integer_paths(draw):
+    """Small integer designs with exact gradient ties, p > n included,
+    ascending integer weights with zero first weights and ties, and two
+    eta drawn across the path."""
+    n, p = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    entry = st.integers(-2, 2)
+    X = np.array(draw(st.lists(st.lists(entry, min_size=p, max_size=p),
+                               min_size=n, max_size=n)), dtype=float)
+    y = np.array(draw(st.lists(entry, min_size=n, max_size=n)), dtype=float)
+    ridge = draw(st.sampled_from([0.25, 0.5]))
+    lam_bar = np.sort(draw(st.lists(st.integers(0, 3), min_size=p, max_size=p)))
+    assume(lam_bar[-1] > 0)  # the validator rejects a zero direction
+    fractions = draw(st.lists(st.floats(0.0, 1.5), min_size=2, max_size=2))
+    return ProblemInstance(y=y, X=X, ridge=ridge), lam_bar.astype(float), fractions
+
+
+class TestIntegerDesignProperty:
+    @given(_integer_paths())
+    def test_path_runs_passes_kkt_and_matches_solver(self, case):
+        inst, lam_bar, fractions = case
+        ray = validate_ray(np.zeros(lam_bar.size), lam_bar)
+        path = run_path(inst, ray)
+        _kkt_at_midpoints(path, inst, ray)
+        last = max((e.eta for e in path.breakpoints()), default=1.0)
+        for f in fractions:
+            eta = f * last
+            res = solve_slope(inst, ray.at(eta))
+            assert np.max(np.abs(eval_path(path, eta) - res.beta)) < 1e-6
