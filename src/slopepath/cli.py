@@ -151,7 +151,7 @@ def _cmd_path(args) -> int:
         f"{diag['absorbed_events']} absorbed, "
         f"{sum(diag['suppressed_bounces'].values())} suppressed bounces, "
         f"insert memo {diag['insert_memo']['hits']} hits / "
-        f"{diag['insert_memo']['misses']} misses\n"
+        f"{diag['insert_memo']['misses']} misses, {diag['clamped_timings']} clamped timings\n"
     )
     return 0
 

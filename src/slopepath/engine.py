@@ -21,12 +21,14 @@ values colliding (fuse, including a group hitting zero), a grouped
 inequality margin reaching zero (split, including activations out of the
 zero group), and the within-group gradient order or the leading
 zero-coordinate gradient sign changing (switches).  Event times are
-absolute eta values; each family has one timing formula, evaluated on
-every position by ``refresh`` and, after a switch, on the few it
-invalidates.  A fuse or split is one structural edit, and the one
-candidate that would undo it at once, members and signs alike (a
-floating-point bounce), is blanked; under zero weights a dying coordinate
-may cross zero and re-enter with the other sign, which is kept.
+absolute eta values; each family has one timing formula and violation
+check, indexed by a slice when ``refresh`` times every position and by an
+int when a switch re-times the few it invalidates, in scalar arithmetic
+with the full kernel's bits; the snap-to-now rule has one scalar twin.
+A fuse or split is one structural edit, and the one candidate that would
+undo it at once, members and signs alike (a floating-point bounce), is
+blanked; under zero weights a dying coordinate may cross zero and
+re-enter with the other sign, which is kept.
 """
 
 from __future__ import annotations
@@ -132,8 +134,8 @@ def _grouped_system(structure: GroupStructure, X: np.ndarray, Xty: np.ndarray,
 def _grouped_weight_sums(cum0: np.ndarray, cumbar: np.ndarray,
                          offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-group sums of lam0 and lam_bar from their prefix sums."""
-    lo, hi = offsets[:-1], offsets[1:]
-    return cum0[hi] - cum0[lo], cumbar[hi] - cumbar[lo]
+    w0, wbar = cum0[offsets], cumbar[offsets]
+    return w0[1:] - w0[:-1], wbar[1:] - wbar[:-1]
 
 
 def _prefix_sums(v: np.ndarray) -> np.ndarray:
@@ -159,7 +161,7 @@ def segment_solution(structure: GroupStructure, instance: ProblemInstance,
 
 
 def _inv_delete(B: np.ndarray, j: int) -> np.ndarray:
-    return _sym_delete(B - np.outer(B[:, j], B[j]) / B[j, j], j)
+    return _sym_delete(B - np.multiply.outer(B[:, j], B[j]) / B[j, j], j)
 
 
 def _sym_delete(M: np.ndarray, j: int) -> np.ndarray:
@@ -200,16 +202,12 @@ class EngineState:
     values; ``inf`` marks an event that cannot happen under the current
     structure.
 
-    ``G`` = X^T X (p x p, without the ridge) and ``Xty`` = X^T y are formed
-    once by ``run_path`` (see :func:`gram_data`).  ``refresh`` takes the
-    gradient terms c = Xty - G beta and d = G slope from them; a bordered
-    insert takes its cross products from X and the entering group's
-    column, but only for a group not seen before in the run: ``_cross``
-    memoizes them per (ordered members, signs), at most n entries, oldest
-    evicted first, so it never holds more floats than X.  ``Ainv`` is the
-    inverse of the grouped Gram A = XG^T XG + ridge * diag(sizes), the only
-    form of A held, and ``XGty`` = S^T Xty; :meth:`_scratch_system` builds
-    both from scratch.
+    ``G`` = X^T X (without the ridge) and ``Xty`` = X^T y come from
+    :func:`gram_data`.  ``_cross`` memoizes the insert cross products per
+    (ordered members, signs), at most n entries, oldest evicted first, so
+    it never holds more floats than X.  :meth:`_scratch_system` builds
+    ``Ainv`` and ``XGty`` = S^T Xty from scratch.  ``fuse_t``,
+    ``switch_t`` and ``split_t`` are views of one array of event times.
     """
 
     def __init__(self, instance: ProblemInstance, ray: WeightRay,
@@ -226,6 +224,7 @@ class EngineState:
         self.min_schur_ratio: float | None = None
         self.cum0 = _prefix_sums(ray.lam0)
         self.cumbar = _prefix_sums(ray.lam_bar)
+        self._cumbar_absmax = np.abs(self.cumbar).max()
 
         self.eta = 0.0
         tol = options.group_tol_scale * (1.0 + float(np.max(np.abs(beta0), initial=0.0)))
@@ -238,9 +237,11 @@ class EngineState:
         # event bookkeeping
         self.n_events = 0
         self.fallbacks = 0
-        # tolerance decisions: events absorbed "in the past" by advance, and
-        # candidates blanked as floating-point bounces, by the kind undone
+        # tolerance decisions: events absorbed "in the past" by advance,
+        # event times snapped to now (see _time_to_zero), and candidates
+        # blanked as floating-point bounces, by the kind undone
         self.n_absorbed = 0
+        self.n_clamped = 0
         self.suppressed = dict.fromkeys(("merge", "death", "split"), 0)
         self.gram_checks: list[tuple[int, float]] = []
         # (kind, index, members, signs) of the one candidate that would undo
@@ -315,7 +316,7 @@ class EngineState:
             col[j] += self.ridge * members.size
             resid = self.Ainv @ col
             resid[j] -= 1.0
-            if float(np.max(np.abs(resid))) <= self.options.probe_tol:
+            if float(np.abs(resid).max()) <= self.options.probe_tol:
                 return
         self.XGty, self.Ainv = self._scratch_system()
         self.fallbacks += 1
@@ -324,16 +325,18 @@ class EngineState:
         """The one structural edit: nonzero groups first .. first + n_old - 1
         make way for the groups that ``starts`` puts at those indices.
 
-        The old groups leave Ainv and XGty highest index first; the new
-        ones are bordered in lowest index first, each while the groups
-        above it are still absent.  That fixes the rounding of Ainv.  An
-        insert whose Schur complement is <= 0 leaves Ainv unset, and the
+        The old groups leave Ainv highest index first; the new ones are
+        bordered in lowest index first, each while the groups above it are
+        still absent.  That fixes the rounding of Ainv.  XGty is edited once.
+        An insert whose Schur complement is <= 0 leaves Ainv unset, and the
         probe then rebuilds the new structure from scratch once."""
-        self.XGty = np.concatenate((self.XGty[:first], self.XGty[first + n_old:]))
         for j in range(first + n_old - 1, first - 1, -1):
             self.Ainv = _inv_delete(self.Ainv, j)
         n_new = n_old + starts.size - self.starts.size
         self.starts = starts
+        new = [_group_ydot(self.Xty, self.s, self.order[starts[k]:starts[k + 1]])
+               for k in range(first, first + n_new)]
+        self.XGty = np.concatenate((self.XGty[:first], new, self.XGty[first + n_old:]))
         for i in range(n_new):
             self._insert_group_algebra(first + i, absent=n_new - i)
             if self.Ainv is None:
@@ -362,9 +365,8 @@ class EngineState:
         if schur <= 0:
             self.Ainv = None
             return
-        self.Ainv = _sym_insert(self.Ainv + np.outer(v, v) / schur, -v / schur, 1.0 / schur, k)
-        self.XGty = np.concatenate((self.XGty[:k], [_group_ydot(self.Xty, self.s, members)],
-                                    self.XGty[k:]))
+        self.Ainv = _sym_insert(self.Ainv + np.multiply.outer(v, v) / schur, -v / schur,
+                                1.0 / schur, k)
 
     def _cross_products(self, members: np.ndarray) -> tuple[np.ndarray, float]:
         """(X^T x, x . x) for the group column x of ``members`` (in order)
@@ -382,13 +384,12 @@ class EngineState:
         hit = self._cross[key] = (self.X.T @ col, float(col @ col))
         return hit
 
-    def _gram_times(self, grouped: np.ndarray) -> np.ndarray:
+    def _gram_times(self, at_nonzero: np.ndarray) -> np.ndarray:
         """G times the coefficient-space vector of each column of
-        ``grouped`` (one value per nonzero group), reading G only on the
-        nonzero coordinates: O(p * nnz) per column."""
+        ``at_nonzero`` (its group's value at each nonzero position), reading
+        G only on the nonzero coordinates: O(p * nnz) per column."""
         nz = self.order[self.zero_count:]
-        coef = -self.s[nz, None] * np.repeat(grouped, np.diff(self.starts), axis=0)
-        return self.G[nz].T @ coef
+        return self.G[nz].T @ (-self.s[nz][:, None] * at_nonzero)
 
     def scratch_check(self) -> float:
         """Relative Frobenius error of the cached inverse against a fresh
@@ -400,118 +401,132 @@ class EngineState:
     # -- full refresh: closed-form state and every event timing --
 
     def refresh(self) -> None:
-        m = self.n_groups
-        lam0g, lambarg = _grouped_weight_sums(self.cum0, self.cumbar, self.starts)
+        starts = self.starts
+        lam0g, lambarg = _grouped_weight_sums(self.cum0, self.cumbar, starts)
         self.levels = self.Ainv @ (self.XGty - lam0g - self.eta * lambarg)
         self.slopeG = -(self.Ainv @ lambarg)
 
-        level_tol = 1e-9 * (1.0 + float(np.max(self.levels, initial=0.0)))
-        if m and (self.levels[0] < -level_tol or np.any(np.diff(self.levels) < -level_tol)):
-            raise StructureInvariantBrokenError(
-                f"group values not strictly ordered at eta={self.eta!r}: {self.levels}"
-            )
+        # (level, slope) per group, the zero group's first, and per position
+        grouped = np.zeros((starts.size, 2))
+        grouped[1:, 0] = self.levels
+        grouped[1:, 1] = self.slopeG
+        sizes = starts.copy()
+        sizes[1:] -= starts[:-1]
+        at_pos = grouped.repeat(sizes, axis=0)
 
         o = self.order
-        cd = self._gram_times(np.column_stack((self.levels, self.slopeG)))
+        cd = self._gram_times(at_pos[starts[0]:])
         c = self.Xty - cd[:, 0]
-        d = cd[:, 1]
-
         so = self.s[o]
-        sizes = np.diff(np.concatenate(([0], self.starts)))
-        level_pos = np.repeat(np.concatenate(([0.0], self.levels)), sizes)
-        slope_pos = np.repeat(np.concatenate(([0.0], self.slopeG)), sizes)
-
         # the ridge enters here only: G is the plain X^T X
-        self.sgrad_val = -so * c[o] - self.ridge * level_pos
-        self.sgrad_rate = so * d[o] - self.ridge * slope_pos
+        self.sgrad_val = -so * c[o] - self.ridge * at_pos[:, 0]
+        self.sgrad_rate = so * cd[:, 1][o] - self.ridge * at_pos[:, 1]
 
         self.eta_ref = self.eta
-        ends = self._slice_end = np.repeat(self.starts, sizes)
+        ends = self._slice_end = starts.repeat(sizes)
         # position constants until the next structural event: which pairs
         # share a group, which suffixes are margins (one starting a nonzero
         # group is its equality), and the weight suffix sums at eta_ref
         self._same_group = ends[:-1] == ends[1:]
         self._split_ok = np.ones(self.p, dtype=bool)
-        self._split_ok[self.starts[:-1]] = False
+        self._split_ok[starts[:-1]] = False
         self._lam_suf_rate = self.cumbar[ends] - self.cumbar[:-1]
         self._lam_suf_ref = (self.cum0[ends] - self.cum0[:-1]) \
             + self.eta_ref * self._lam_suf_rate
         self.suf_val = _suffix_within(self.sgrad_val, ends)
         self.suf_rate = _suffix_within(self.sgrad_rate, ends)
 
-        self._mscale = self._margin_scale()
+        # the scale of the margins' violation check
+        self._mscale = 1.0 + float(self.cum0[-1] + abs(self.eta) * self._cumbar_absmax) \
+            + float(np.abs(self.sgrad_val).max(initial=0.0))
         self._recompute_all_times()
         self._apply_suppressions()
 
     # -- event times --
 
-    def _margin_scale(self) -> float:
-        lam_now = float(self.cum0[-1] + abs(self.eta) * np.max(np.abs(self.cumbar)))
-        grad = float(np.max(np.abs(self.sgrad_val), initial=0.0))
-        return 1.0 + lam_now + grad
-
-    def _time_to_zero(self, value: np.ndarray, rate: np.ndarray) -> np.ndarray:
-        """Absolute time at which ``value + (t - eta) * rate`` reaches zero:
-        inf unless the rate is negative; a negative value (already past
-        zero) and waits up to ``timing_clamp`` snap to now."""
+    def _time_to_zero(self, value: np.ndarray, rate: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        """Absolute time at which ``value + (t - eta) * rate`` reaches zero
+        where ``keep`` holds: inf unless the rate is negative; a negative
+        value (already past zero) and waits up to ``timing_clamp`` snap to
+        now, and are counted in ``n_clamped``."""
         dt = np.full(value.shape, math.inf)
-        np.divide(value, -rate, out=dt, where=rate < 0)
-        dt[dt <= self.options.timing_clamp] = 0.0
+        np.divide(value, -rate, out=dt, where=keep & (rate < 0))
+        snap = dt <= self.options.timing_clamp
+        dt[snap] = 0.0
+        self.n_clamped += int(np.count_nonzero(snap))
         dt += self.eta
         return dt
 
+    def _time_to_zero_at(self, value: float, rate: float, keep: bool) -> float:
+        """Scalar twin of :meth:`_time_to_zero`: its operations in its order."""
+        if not (keep and rate < 0):
+            return math.inf
+        dt = value / -rate
+        if dt <= self.options.timing_clamp:
+            dt = 0.0
+            self.n_clamped += 1
+        return dt + self.eta
+
     def _recompute_all_times(self) -> None:
-        # fuse: group j colliding with the level below it; the ordering
-        # check in refresh() already bounds how negative a gap can be, so
-        # event-instant ties are simply clipped to zero here
-        self.fuse_t = self._time_to_zero(
-            self.levels - np.concatenate(([0.0], self.levels[:-1])),
-            self.slopeG - np.concatenate(([0.0], self.slopeG[:-1])))
+        # fuse: group j colliding with the level below it (zero for j = 0); a gap
+        # below -level_tol breaks the structure, event-instant ties clip to zero
+        levels, slope = self.levels, self.slopeG
+        gap = levels - np.concatenate(([0.0], levels[:-1]))
+        level_tol = 1e-9 * (1.0 + float(levels.max(initial=0.0)))
+        if _any(gap < -level_tol):
+            raise StructureInvariantBrokenError(
+                f"group values not strictly ordered at eta={self.eta!r}: {levels}"
+            )
+        rate = slope - np.concatenate(([0.0], slope[:-1]))
         # the switch times check the within-group gradient order of every
-        # pair, before the split times check the margins
-        self.switch_t = self._switch_times(0, max(self.p - 1, 0))
-        self.split_t = self._split_times(0, self.p)
+        # pair, before the split times check the margins; the three
+        # families are timed in one pass and held as views of one array
+        m, p = gap.size, self.p
+        families = ((gap, rate, np.ones(m, dtype=bool)),
+                    self._order_gaps(slice(0, p - 1), slice(1, p)),
+                    self._split_margins(slice(None)))
+        times = self._time_to_zero(*(np.concatenate(parts) for parts in zip(*families)))
+        self.fuse_t, self.switch_t, self.split_t = times[:m], times[m:m + p - 1], times[m + p - 1:]
         self.sign_t = self._sign_time()
 
-    def _split_times(self, lo: int, hi: int) -> np.ndarray:
-        """Times at which the suffix margins at positions [lo, hi) hit zero."""
-        m_rate = self._lam_suf_rate[lo:hi] - self.suf_rate[lo:hi]
-        m_now = (self._lam_suf_ref[lo:hi] - self.suf_val[lo:hi]) \
-            + (self.eta - self.eta_ref) * m_rate
-        ok = self._split_ok[lo:hi]
-        bad = ok & (m_now < -self.options.negative_margin_rtol * self._mscale)
-        if bad.any():
-            worst = lo + int(np.flatnonzero(bad)[np.argmin(m_now[bad])])
+    def _split_margins(self, i: int | slice) -> tuple:
+        """(margin now, its eta-rate, is a margin) of the suffixes at
+        positions ``i``, an int or a slice; raises if one is violated."""
+        rate = self._lam_suf_rate[i] - self.suf_rate[i]
+        now = (self._lam_suf_ref[i] - self.suf_val[i]) + (self.eta - self.eta_ref) * rate
+        ok = self._split_ok[i]
+        bad = ok & (now < -self.options.negative_margin_rtol * self._mscale)
+        if _any(bad):
+            worst = int(np.argmin(now[bad]))
             raise NegativeTimingError(
-                f"optimality margin {m_now[worst - lo]:.3e} already violated at "
-                f"eta={self.eta!r} (suffix position {worst})"
+                f"optimality margin {now[bad][worst]:.3e} already violated at "
+                f"eta={self.eta!r} (suffix position {np.arange(self.p)[i][bad][worst]})"
             )
-        return np.where(ok, self._time_to_zero(m_now, m_rate), math.inf)
+        return now, rate, ok
 
-    def _switch_times(self, lo: int, hi: int) -> np.ndarray:
-        """Times at which the adjacent pairs (k, k+1), k in [lo, hi), of one
-        group swap their gradient order."""
-        val, rate_all = self.sgrad_val[lo:hi + 1], self.sgrad_rate[lo:hi + 1]
-        same = self._same_group[lo:hi]
-        rate = rate_all[1:] - rate_all[:-1]
-        diff_now = (val[1:] - val[:-1]) + (self.eta - self.eta_ref) * rate
-        order_tol = self.options.negative_margin_rtol \
-            * (1.0 + np.abs(val[:-1]) + np.abs(val[1:]))
-        bad = same & (diff_now < -order_tol)
-        if bad.any():
-            k = lo + int(np.flatnonzero(bad)[0])
+    def _order_gaps(self, k: int | slice, k1: int | slice) -> tuple:
+        """(gradient gap now, its eta-rate, same group) of the pairs at ``k``
+        and ``k1`` = k + 1, ints or slices; raises if one is out of order."""
+        val, rate_all = self.sgrad_val, self.sgrad_rate
+        rate = rate_all[k1] - rate_all[k]
+        now = (val[k1] - val[k]) + (self.eta - self.eta_ref) * rate
+        same = self._same_group[k]
+        floor = -self.options.negative_margin_rtol * (1.0 + abs(val[k]) + abs(val[k1]))
+        bad = same & (now < floor)
+        if _any(bad):
+            first = int(np.arange(self.p)[k][bad][0])
             raise StructureInvariantBrokenError(
-                f"gradient order already inverted at positions {k},{k + 1}"
+                f"gradient order already inverted at positions {first},{first + 1}"
             )
-        return np.where(same, self._time_to_zero(diff_now, rate), math.inf)
+        return now, rate, same
 
     def _sign_time(self) -> float:
         """Time at which the leading zero coordinate's gradient hits zero."""
         if self.zero_count == 0:
             return math.inf
-        rate = self.sgrad_rate[:1]
-        return float(self._time_to_zero(
-            self.sgrad_val[:1] + (self.eta - self.eta_ref) * rate, rate)[0])
+        rate = self.sgrad_rate[0]
+        return float(self._time_to_zero_at(
+            self.sgrad_val[0] + (self.eta - self.eta_ref) * rate, rate, True))
 
     def _apply_suppressions(self) -> None:
         """Blank the one candidate that would exactly undo the structural
@@ -550,21 +565,20 @@ class EngineState:
         fuse > sign switch > order switch > split, each class taking its
         smallest index.
         """
-        t_fuse = float(np.min(self.fuse_t)) if self.fuse_t.size else math.inf
-        t_switch = float(np.min(self.switch_t)) if self.switch_t.size else math.inf
-        t_split = float(np.min(self.split_t)) if self.split_t.size else math.inf
+        t_fuse, t_switch, t_split = (float(t[t.argmin()]) if t.size else math.inf
+                                     for t in (self.fuse_t, self.switch_t, self.split_t))
         t_sign = self.sign_t
         t_min = min(t_fuse, t_sign, t_switch, t_split)
         if math.isinf(t_min):
             return math.inf, "none", -1
         window = t_min + self.options.tie_rtol * max(1.0, abs(t_min))
         if t_fuse <= window:
-            return t_fuse, "fuse", int(np.argmin(self.fuse_t))
+            return t_fuse, "fuse", int(self.fuse_t.argmin())
         if t_sign <= window:
             return t_sign, "switch_sign", 0
         if t_switch <= window:
-            return t_switch, "switch_order", int(np.argmin(self.switch_t))
-        return t_split, "split", int(np.argmin(self.split_t))
+            return t_switch, "switch_order", int(self.switch_t.argmin())
+        return t_split, "split", int(self.split_t.argmin())
 
     def advance(self, eta_new: float) -> None:
         if eta_new < self.eta:
@@ -614,7 +628,8 @@ class EngineState:
             # slice sorted by |gradient|
             self.levels = self.levels[1:]
             zero_members = self.order[:self.zero_count]
-            zgrad = self._gram_times(self.levels[:, None])[zero_members, 0] \
+            at_nonzero = self.levels.repeat(self.starts[1:] - self.starts[:-1])
+            zgrad = self._gram_times(at_nonzero[:, None])[zero_members, 0] \
                 - self.Xty[zero_members]
             self.s[upper] = np.where(zgrad[-upper.size:] >= 0, 1.0, -1.0)
             self.order[:self.zero_count] = zero_members[np.lexsort((zero_members,
@@ -638,9 +653,8 @@ class EngineState:
         so the pair's new switch time is inf."""
         if self._slice_end[k] != self._slice_end[k + 1]:
             raise NumericalError("switch across a group boundary")
-        self.order[[k, k + 1]] = self.order[[k + 1, k]]
-        self.sgrad_val[[k, k + 1]] = self.sgrad_val[[k + 1, k]]
-        self.sgrad_rate[[k, k + 1]] = self.sgrad_rate[[k + 1, k]]
+        for a in (self.order, self.sgrad_val, self.sgrad_rate):
+            a[k], a[k + 1] = a[k + 1], a[k]
         self._update_position(k + 1)
 
     def apply_sign_switch(self) -> None:
@@ -656,26 +670,28 @@ class EngineState:
     def _update_position(self, q: int) -> None:
         """After a switch changed the gradient at q (and at q - 1 for a swap):
         q's suffix value and rate and split time, the switch times of the
-        pairs q - 2 .. q, and the sign time while q < 2."""
-        end = int(self._slice_end[q])
-        nxt = self.suf_val[q + 1] if q + 1 < end else 0.0
-        nxt_rate = self.suf_rate[q + 1] if q + 1 < end else 0.0
-        self.suf_val[q] = self.sgrad_val[q] + nxt
-        self.suf_rate[q] = self.sgrad_rate[q] + nxt_rate
-        self.split_t[q] = self._split_times(q, q + 1)[0]
-        lo, hi = max(q - 2, 0), min(q + 1, self.switch_t.size)
-        self.switch_t[lo:hi] = self._switch_times(lo, hi)
+        pairs q - 2 .. q, and the sign time while q < 2, each one position
+        at a time in scalar arithmetic."""
+        more = q + 1 < self._slice_end[q]
+        self.suf_val[q] = self.sgrad_val[q] + (self.suf_val[q + 1] if more else 0.0)
+        self.suf_rate[q] = self.sgrad_rate[q] + (self.suf_rate[q + 1] if more else 0.0)
+        self.split_t[q] = self._time_to_zero_at(*self._split_margins(q))
+        for k in range(max(q - 2, 0), min(q + 1, self.p - 1)):
+            self.switch_t[k] = self._time_to_zero_at(*self._order_gaps(k, k + 1))
         if q < 2:
             self.sign_t = self._sign_time()
 
 
+def _any(mask) -> bool:
+    """``mask.any()`` for an array or one numpy bool, at a fraction of its cost."""
+    return np.count_nonzero(mask) > 0 if isinstance(mask, np.ndarray) else bool(mask)
+
+
 def _suffix_within(values: np.ndarray, slice_ends: np.ndarray) -> np.ndarray:
     """Per-position suffix sums restricted to each position's slice."""
-    p = values.size
-    if p == 0:
-        return values.copy()
-    total = np.concatenate((np.cumsum(values[::-1])[::-1], [0.0]))
-    return total[:p] - total[slice_ends]
+    total = np.zeros(values.size + 1)
+    total[-2::-1] = values[::-1].cumsum()
+    return total[:-1] - total[slice_ends]
 
 
 # --- public event-timing wrappers (relative times, grouped labels) ---------
@@ -789,7 +805,9 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
             segments.append(PathSegment(seg_eta, t, seg_beta, seg_slope, event))
             seg_eta = t
         seg_beta = state.scatter_beta()
-        seg_slope = state.scatter_slope()
+        # a switch leaves the slope as it was: its segments share the array
+        if kind == "fuse" or kind == "split":
+            seg_slope = state.scatter_slope()
 
     kinds = Counter(e.kind for e in events)
     provenance = {
@@ -807,6 +825,7 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
             "fallback_refactorizations": state.fallbacks,
             "min_schur_ratio": state.min_schur_ratio,
             "absorbed_events": state.n_absorbed,
+            "clamped_timings": state.n_clamped,
             "suppressed_bounces": dict(state.suppressed),
             "insert_memo": dict(state.insert_memo),
             "gram_checks": [[i, err] for i, err in state.gram_checks],

@@ -157,7 +157,7 @@ def scatter_groups(order, offsets, signs, grouped) -> np.ndarray:
     member i of nonzero group j, and zero on the zero group."""
     members = order[offsets[0]:]
     out = np.zeros(order.size)
-    out[members] = -signs[members] * np.repeat(grouped, np.diff(offsets))
+    out[members] = -signs[members] * grouped.repeat(offsets[1:] - offsets[:-1])
     return out
 
 
@@ -203,7 +203,8 @@ class PathEvent:
 
 @dataclass(frozen=True)
 class PathSegment:
-    """One linear piece beta(eta) = beta_start + (eta - eta_start) * slope."""
+    """One linear piece beta(eta) = beta_start + (eta - eta_start) * slope;
+    consecutive segments may share one ``slope`` array: do not write to it."""
 
     eta_start: float
     eta_end: float

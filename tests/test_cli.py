@@ -56,6 +56,7 @@ class TestSimulateAndPath:
             f"{sum(diag['suppressed_bounces'].values())} suppressed bounces" in err
         memo = diag["insert_memo"]
         assert f"insert memo {memo['hits']} hits / {memo['misses']} misses" in err
+        assert f"{diag['clamped_timings']} clamped timings" in err
 
         header, *rows = events_file.read_text().strip().splitlines()
         assert header == "index,eta,kind,g,k"

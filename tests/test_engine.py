@@ -28,6 +28,7 @@ from slopepath import (
 from slopepath.datagen import ScenarioSpec, generate
 from slopepath.engine import (
     _group_column,
+    _initial_beta,
     _inv_delete,
     _sym_delete,
     _sym_insert,
@@ -971,3 +972,105 @@ class TestIntegerDesignProperty:
             eta = f * last
             res = solve_slope(inst, ray.at(eta))
             assert np.max(np.abs(eval_path(path, eta) - res.beta)) < 1e-6
+
+
+class TestWindowUpdate:
+    """After a switch the window update re-times q's split, the pairs
+    q - 2 .. q and, while q < 2, the sign switch in scalar arithmetic; each
+    must carry the bits the array kernel gives at those positions.  Other
+    positions were timed at eta_ref and are not compared: re-timing them at
+    a later eta rounds differently."""
+
+    @staticmethod
+    def _cases():
+        inst1, _ = generate(ScenarioSpec(scenario=1, p=12, n=36, seed=0))
+        inst2, _ = generate(ScenarioSpec(scenario=2, p=20, n=60, seed=1))
+        inst2 = ProblemInstance(y=inst2.y, X=inst2.X, ridge=0.5)
+        lam0 = np.linspace(0.1, 0.6, 12)
+        return [(inst1, validate_ray(np.zeros(12), qs_sequence(12))),
+                (inst2, validate_ray(np.zeros(20), bh_sequence(20, 0.1))),
+                (inst1, validate_ray(lam0, bh_sequence(12, 0.1)))]
+
+    @staticmethod
+    def _array_kernel(state, q):
+        """(split time at q, switch times of pairs q-2..q, sign time) from
+        the array code of refresh, restricted to those positions."""
+        clamped = state.n_clamped
+        lo, hi = max(q - 2, 0), min(q + 1, state.p - 1)
+        split = state._time_to_zero(*state._split_margins(slice(q, q + 1)))
+        switch = state._time_to_zero(*state._order_gaps(slice(lo, hi), slice(lo + 1, hi + 1)))
+        rate = state.sgrad_rate[:1]
+        sign = state._time_to_zero(state.sgrad_val[:1] + (state.eta - state.eta_ref) * rate,
+                                   rate, state.zero_count > 0)
+        state.n_clamped = clamped
+        return split, switch, sign, slice(lo, hi)
+
+    def test_window_matches_array_kernel(self):
+        checked = {"switch_order": 0, "switch_sign": 0}
+        for inst, ray in self._cases():
+            G, Xty = gram_data(inst)
+            beta0 = _initial_beta(inst, ray, PathOptions(), G, Xty)
+            state = EngineState(inst, ray, beta0, PathOptions(), G, Xty)
+            while math.isfinite((event := state.next_event())[0]):
+                state.step(*event)
+                kind, idx = event[1], event[2]
+                if kind not in checked:
+                    continue
+                q = idx + 1 if kind == "switch_order" else 0
+                split, switch, sign, pairs = self._array_kernel(state, q)
+                assert state.split_t[q:q + 1].tobytes() == split.tobytes()
+                assert state.switch_t[pairs].tobytes() == switch.tobytes()
+                if q < 2:
+                    assert np.float64(state.sign_t).tobytes() == sign.tobytes()
+                checked[kind] += 1
+        assert checked["switch_order"] > 0 and checked["switch_sign"] > 0
+
+    def test_scalar_and_array_snap_rules_agree(self):
+        state = make_state(*self._cases()[0])
+        state.eta = 0.75
+        clamp = state.options.timing_clamp
+        nan, inf = math.nan, math.inf
+        cases = [(1.0, 0.0), (1.0, -0.0), (1.0, nan), (nan, -1.0),
+                 (0.0, -1.0), (-0.0, -1.0), (-2.0, -1.0), (-2.0, 0.0),
+                 (clamp, -1.0), (np.nextafter(clamp, 1.0), -1.0),
+                 (inf, -1.0), (-inf, -1.0), (1.0, -inf)]
+        for value, rate in cases:
+            for keep in (True, False):
+                before = state.n_clamped
+                array = state._time_to_zero(np.array([value]), np.array([rate]),
+                                            np.array([keep]))
+                n_array = state.n_clamped - before
+                scalar = state._time_to_zero_at(np.float64(value), np.float64(rate),
+                                                np.bool_(keep))
+                assert np.float64(scalar).tobytes() == array.tobytes(), (value, rate, keep)
+                assert state.n_clamped - before - n_array == n_array
+        assert state._time_to_zero_at(np.float64(clamp), np.float64(-1.0), True) == 0.75
+
+
+@st.composite
+def _lam0_paths(draw):
+    """Scenario 1 and 2 instances at n = 3p under the four designs, with a
+    sorted nonzero lam0 and a finite eta_max."""
+    scenario = draw(st.sampled_from([1, 2]))
+    p = 2 * draw(st.integers(2, 6)) if scenario == 1 else draw(st.integers(4, 12))
+    inst, _ = generate(ScenarioSpec(scenario=scenario, p=p, n=3 * p,
+                                    seed=draw(st.integers(0, 999))))
+    design, q = draw(st.sampled_from([("bh", 0.1), ("gauss", 0.1), ("oscar", 1.0),
+                                      ("qs", None)]))
+    lam0 = np.sort(draw(st.lists(st.floats(0.0, 2.0), min_size=p, max_size=p)))
+    assume(lam0[-1] > 0)
+    ray = WeightRay(lam0, design_sequence(design, p, q=q, n=3 * p),
+                    draw(st.floats(0.01, 50.0)))
+    return inst, ray
+
+
+class TestLam0Property:
+    @given(_lam0_paths())
+    def test_path_runs_is_continuous_and_ends_at_eta_max(self, case):
+        inst, ray = case
+        path = run_path(inst, ray)
+        _kkt_at_midpoints(path, inst, ray)
+        assert path.segments[-1].eta_end == ray.eta_max
+        for seg, nxt in zip(path.segments, path.segments[1:]):
+            gap = np.max(np.abs(seg.value(seg.eta_end) - nxt.beta_start))
+            assert gap <= 1e-9 * (1.0 + np.max(np.abs(nxt.beta_start)))
