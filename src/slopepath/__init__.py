@@ -46,7 +46,6 @@ from .model import (
 from .optimality import OptimalityReport, check_optimality, signs_and_order
 from .prox import SolverOptions, solve_slope, sorted_l1_prox
 from .weights import (
-    WeightDesign,
     bh_sequence,
     contour_extremes,
     design_sequence,
@@ -69,7 +68,7 @@ __all__ = [
     "sorted_l1_prox", "solve_slope", "SolverOptions",
     "bh_sequence", "gaussian_sequence", "oscar_sequence", "qs_sequence",
     "sphericity_ratio", "contour_extremes", "normal_quantile",
-    "design_sequence", "WeightDesign",
+    "design_sequence",
     "ScenarioSpec", "generate",
     "path_metrics", "run_experiment", "ExperimentReport",
     "emit_contour", "emit_sphericity_curve",

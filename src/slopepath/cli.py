@@ -27,6 +27,7 @@ from .harness import (
     run_experiment,
 )
 from .model import (
+    WeightRay,
     load_instance,
     save_instance,
     save_path,
@@ -130,8 +131,9 @@ def _cmd_path(args) -> int:
     lam0, lam_bar = _ray_from_args(args, instance.p, instance.n)
     ray = validate_ray(lam0, lam_bar)
     if args.eta_max is not None:
-        from .model import WeightRay
-        ray = WeightRay(ray.lam0, ray.lam_bar, min(ray.eta_max, args.eta_max))
+        # run_path rejects a horizon that is not positive, NaN included, and
+        # clips the rest to the ray's own
+        ray = WeightRay(ray.lam0, ray.lam_bar, args.eta_max)
     options = PathOptions(validate_every=args.validate_every)
     path = run_path(instance, ray, options)
     save_path(path, args.out)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -60,7 +60,7 @@ from .model import (
     validate_ray,
 )
 from .optimality import structure_from_beta
-from .prox import SolverOptions, solve_slope
+from .prox import solve_slope
 
 __all__ = [
     "PathOptions",
@@ -68,9 +68,6 @@ __all__ = [
     "grouped_design",
     "segment_solution",
     "structure_from_beta",
-    "next_fuse_times",
-    "next_split_times",
-    "next_switch_times",
     "apply_event",
     "run_path",
     "eval_path",
@@ -90,8 +87,7 @@ class PathOptions:
     ``negative_margin_rtol`` is how far a quantity that must stay
     nonnegative (a suffix margin, or the gradient gap between within-group
     neighbours) may sit below zero, relative to its scale, before the state
-    is declared broken.  ``solver`` configures the initializer used when the
-    ray starts at nonzero weights.
+    is declared broken.
     """
 
     iteration_cap: int | None = None
@@ -101,7 +97,6 @@ class PathOptions:
     negative_margin_rtol: float = 1e-7
     group_tol_scale: float = 1e-7
     probe_tol: float = 1e-6
-    solver: SolverOptions = field(default_factory=SolverOptions)
 
 
 def _group_ydot(Xty: np.ndarray, signs: np.ndarray, members: np.ndarray) -> float:
@@ -202,25 +197,25 @@ class EngineState:
     values; ``inf`` marks an event that cannot happen under the current
     structure.
 
-    ``G`` = X^T X (without the ridge) and ``Xty`` = X^T y come from
-    :func:`gram_data`.  ``_cross`` memoizes the insert cross products per
-    (ordered members, signs), at most n entries, oldest evicted first, so
-    it never holds more floats than X.  :meth:`_scratch_system` builds
-    ``Ainv`` and ``XGty`` = S^T Xty from scratch.  ``fuse_t``,
-    ``switch_t`` and ``split_t`` are views of one array of event times.
+    ``G`` = X^T X (without the ridge) and ``Xty`` = X^T y are formed here,
+    once per run, and give the start at lam0.  ``_cross`` memoizes the
+    insert cross products per (ordered members, signs), at most n entries,
+    oldest evicted first, so it never holds more floats than X.
+    :meth:`_scratch_system` builds ``Ainv`` and ``XGty`` = S^T Xty from
+    scratch.  ``fuse_t``, ``switch_t`` and ``split_t`` are views of one
+    array of event times.
     """
 
-    def __init__(self, instance: ProblemInstance, ray: WeightRay,
-                 beta0: np.ndarray, options: PathOptions,
-                 G: np.ndarray, Xty: np.ndarray):
+    def __init__(self, instance: ProblemInstance, ray: WeightRay, options: PathOptions):
         self.instance = instance
         self.ray = ray
         self.options = options
         self.X = instance.X
         self.ridge = instance.ridge
         self.p = instance.p
-        self.G = G
-        self.Xty = Xty
+        self.G = self.X.T @ self.X
+        self.Xty = self.X.T @ instance.y
+        beta0 = _initial_beta(instance, ray, self.G, self.Xty)
         self.min_schur_ratio: float | None = None
         self.cum0 = _prefix_sums(ray.lam0)
         self.cumbar = _prefix_sums(ray.lam_bar)
@@ -277,10 +272,6 @@ class EngineState:
         """Grouped (g, k) label of the split at suffix position ``pos``."""
         j = self.group_of_position(pos)
         return j + 1, pos - self.slice_of_group(j)[0] + 1
-
-    def to_structure(self) -> GroupStructure:
-        return GroupStructure(self.order.copy(), self.starts.copy(), self.levels.copy(),
-                              self.s.copy())
 
     def scatter_beta(self) -> np.ndarray:
         return scatter_groups(self.order, self.starts, self.s, self.levels)
@@ -694,31 +685,6 @@ def _suffix_within(values: np.ndarray, slice_ends: np.ndarray) -> np.ndarray:
     return total[:-1] - total[slice_ends]
 
 
-# --- public event-timing wrappers (relative times, grouped labels) ---------
-
-
-def next_fuse_times(state: EngineState) -> np.ndarray:
-    """Relative fuse times, entry g for the collision of (grouped) G_g and
-    G_{g+1}; entry 0 is the lowest group vanishing into zero."""
-    return state.fuse_t - state.eta
-
-
-def next_split_times(state: EngineState) -> dict[tuple[int, int], float]:
-    """Relative split times keyed by grouped labels (g, k)."""
-    return {state.split_label(int(pos)): state.split_t[pos] - state.eta
-            for pos in np.flatnonzero(~np.isinf(state.split_t))}
-
-
-def next_switch_times(state: EngineState) -> tuple[dict[int, float], float]:
-    """Relative order-switch times keyed by 1-based position, plus the
-    sign-switch time."""
-    out = {k + 1: state.switch_t[k] - state.eta
-           for k in range(state.switch_t.size)
-           if not math.isinf(state.switch_t[k])}
-    sign = state.sign_t - state.eta if not math.isinf(state.sign_t) else math.inf
-    return out, sign
-
-
 def apply_event(state: EngineState, event: PathEvent) -> EngineState:
     """Advance the state to an event's time and apply it.
 
@@ -737,15 +703,10 @@ def apply_event(state: EngineState, event: PathEvent) -> EngineState:
 # --- the path driver --------------------------------------------------------
 
 
-def gram_data(instance: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
-    """(X^T X, X^T y): the data as the engine reads them, formed once per run."""
-    return instance.X.T @ instance.X, instance.X.T @ instance.y
-
-
-def _initial_beta(instance: ProblemInstance, ray: WeightRay, options: PathOptions,
+def _initial_beta(instance: ProblemInstance, ray: WeightRay,
                   G: np.ndarray, Xty: np.ndarray) -> np.ndarray:
     if np.any(ray.lam0 != 0):
-        return solve_slope(instance, ray.lam0, options.solver).beta
+        return solve_slope(instance, ray.lam0).beta
     if instance.ridge:
         G = G + instance.ridge * np.eye(instance.p)
     return np.linalg.solve(G, Xty)
@@ -760,6 +721,8 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
     final segment, or with an infinite final segment once no further
     event can occur.
     """
+    if not ray.eta_max > 0:
+        raise ValidationError(f"eta_max must be positive, got {ray.eta_max!r}")
     options = options or PathOptions()
     instance = validate_instance(instance)
     checked = validate_ray(ray.lam0, ray.lam_bar)
@@ -771,9 +734,7 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
     cap = options.iteration_cap if options.iteration_cap is not None \
         else 50 * instance.p * instance.p
 
-    G, Xty = gram_data(instance)
-    beta0 = _initial_beta(instance, ray, options, G, Xty)
-    state = EngineState(instance, ray, beta0, options, G, Xty)
+    state = EngineState(instance, ray, options)
 
     segments: list[PathSegment] = []
     events: list[PathEvent] = []
@@ -814,8 +775,7 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
         "instance_hash": instance_hash(instance),
         "ray": ray.describe(),
         # every scalar knob, so a saved path names the tolerances that shaped it
-        "options": {**{f.name: getattr(options, f.name) for f in fields(options)
-                       if f.name != "solver"}, "iteration_cap": cap},
+        "options": {**asdict(options), "iteration_cap": cap},
         "diagnostics": {
             "events": state.n_events,
             "fuse_events": kinds["fuse"],

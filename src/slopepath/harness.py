@@ -13,12 +13,12 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .datagen import ScenarioSpec, generate
-from .engine import PathOptions, run_path
+from .engine import run_path
 from .errors import EmptyPathError, ValidationError, ZeroWeightsError
 from .model import SolutionPath, check_weight_order, validate_ray
 from .weights import design_sequence
@@ -78,19 +78,10 @@ class ExperimentCell:
     wall_time: float
 
     def results_dict(self) -> dict:
-        return {
-            "design": self.design,
-            "p": self.p,
-            "n": self.n,
-            "replicates": self.replicates,
-            "seeds": list(self.seeds),
-            "mean_nonzero": self.mean_nonzero,
-            "mean_nonzero_groups": self.mean_nonzero_groups,
-            "mean_fuse_split_events": self.mean_fuse_split_events,
-            "half_width_nonzero": self.half_width_nonzero,
-            "half_width_groups": self.half_width_groups,
-            "half_width_events": self.half_width_events,
-        }
+        """Every field but the wall time, which varies from run to run."""
+        out = asdict(self)
+        del out["wall_time"]
+        return out
 
 
 @dataclass(frozen=True)
@@ -146,14 +137,14 @@ def design_direction(design: str, p: int, n: int, params: dict) -> np.ndarray:
 
 
 def _one_replicate(args) -> tuple[int, dict]:
-    scenario, p, n, seed, designs, params, path_options = args
+    scenario, p, n, seed, designs, params = args
     instance, _ = generate(ScenarioSpec(scenario=scenario, p=p, n=n, seed=seed))
     out = {}
     for design in designs:
         lam_bar = design_direction(design, p, n, params)
         ray = validate_ray(np.zeros(p), lam_bar)
         t0 = time.perf_counter()
-        path = run_path(instance, ray, path_options)
+        path = run_path(instance, ray)
         elapsed = time.perf_counter() - t0
         out[design] = (*path_metrics(path), elapsed)
     return seed, out
@@ -161,8 +152,7 @@ def _one_replicate(args) -> tuple[int, dict]:
 
 def run_experiment(scenario: int, sizes, designs, replicates: int,
                    seed_base: int, threads: int = 1,
-                   design_params: dict | None = None,
-                   path_options: PathOptions | None = None) -> ExperimentReport:
+                   design_params: dict | None = None) -> ExperimentReport:
     """Replicated benchmark over (p, n) sizes and weight designs.
 
     One instance is generated per replicate (seed = seed_base + index) and
@@ -174,14 +164,12 @@ def run_experiment(scenario: int, sizes, designs, replicates: int,
     params = dict(DEFAULT_DESIGN_PARAMS)
     if design_params:
         params.update(design_params)
-    path_options = path_options or PathOptions()
     designs = list(designs)
 
     cells = []
     for (p, n) in sizes:
         seeds = tuple(seed_base + r for r in range(replicates))
-        jobs = [(scenario, p, n, seed, designs, params, path_options)
-                for seed in seeds]
+        jobs = [(scenario, p, n, seed, designs, params) for seed in seeds]
         if threads > 1:
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 raw = list(pool.map(_one_replicate, jobs))

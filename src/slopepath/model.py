@@ -147,10 +147,6 @@ class GroupStructure:
         """Index sets [zero group, G_1, ..., G_gbar] in ascending level order."""
         return np.split(np.array(self.order, dtype=int), self.offsets[:-1])
 
-    def scatter_beta(self) -> np.ndarray:
-        """Full coefficient vector from levels and signs."""
-        return scatter_groups(self.order, self.offsets, self.signs, self.levels)
-
 
 def scatter_groups(order, offsets, signs, grouped) -> np.ndarray:
     """Coefficient-space vector holding -signs[i] * grouped[j] for every
@@ -246,12 +242,12 @@ class SolutionPath:
 # --- validation ----------------------------------------------------------
 
 
-def check_weight_order(lam, label: str = "weights") -> np.ndarray:
+def check_weight_order(lam) -> np.ndarray:
     """Return ``lam`` as floats; raise ValidationError unless it is
     ascending and nonnegative."""
     lam = np.asarray(lam, dtype=float)
     if lam.size and (lam[0] < 0 or (np.diff(lam) < 0).any()):
-        raise ValidationError(f"{label} must be ascending and nonnegative")
+        raise ValidationError("weights must be ascending and nonnegative")
     return lam
 
 
@@ -334,15 +330,12 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def save_instance(instance: ProblemInstance, csv_path, header: bool = True,
-                  metadata: dict | None = None) -> None:
-    """Write an instance as CSV (column 1 = y, the rest = X) plus a JSON
-    sidecar ``<csv_path>.meta.json`` holding ridge and metadata."""
+def save_instance(instance: ProblemInstance, csv_path, metadata: dict | None = None) -> None:
+    """Write an instance as CSV (a header row, then column 1 = y and the
+    rest = X) plus a JSON sidecar ``<csv_path>.meta.json`` holding ridge and
+    metadata."""
     csv_path = Path(csv_path)
-    p = instance.p
-    lines = []
-    if header:
-        lines.append(",".join(["y"] + [f"x{j + 1}" for j in range(p)]))
+    lines = [",".join(["y"] + [f"x{j + 1}" for j in range(instance.p)])]
     for i in range(instance.n):
         row = [instance.y[i]] + list(instance.X[i])
         lines.append(",".join(_format_float(v) for v in row))
@@ -383,9 +376,16 @@ def load_instance(csv_path) -> ProblemInstance:
 
 def save_path(path: SolutionPath, jsonl_path) -> None:
     """Write a path as JSON lines: a header record, then one record per
-    segment carrying its ending event."""
+    segment carrying its ending event and, in event order among them, an
+    event record for each event that ends no segment (one at eta = 0, or
+    a second event at a segment's end)."""
     out = [json.dumps({"record": "header", "provenance": path.provenance})]
+    events = iter(path.events)
     for idx, seg in enumerate(path.segments):
+        for event in events:
+            if event == seg.ending_event:
+                break
+            out.append(json.dumps({"record": "event", "event": event.to_dict()}))
         rec = {
             "record": "segment",
             "index": idx,
@@ -396,6 +396,7 @@ def save_path(path: SolutionPath, jsonl_path) -> None:
             "event": seg.ending_event.to_dict(),
         }
         out.append(json.dumps(rec))
+    out.extend(json.dumps({"record": "event", "event": event.to_dict()}) for event in events)
     Path(jsonl_path).write_text("\n".join(out) + "\n")
 
 
@@ -413,6 +414,9 @@ def load_path(jsonl_path) -> SolutionPath:
                 provenance = rec.get("provenance", {})
                 continue
             event = PathEvent.from_dict(rec["event"])
+            events.append(event)
+            if rec.get("record") == "event":
+                continue
             segments.append(PathSegment(
                 eta_start=rec["eta_start"],
                 eta_end=rec["eta_end"],
@@ -420,7 +424,6 @@ def load_path(jsonl_path) -> SolutionPath:
                 slope=np.asarray(rec["slope"], dtype=float),
                 ending_event=event,
             ))
-            events.append(event)
     return SolutionPath(segments=tuple(segments), events=tuple(events),
                         provenance=provenance)
 
@@ -433,7 +436,7 @@ def eval_path(path: SolutionPath, eta: float) -> np.ndarray:
     """
     if not path.segments:
         raise OutOfRangeError("path has no segments")
-    if eta < 0:
+    if not eta >= 0:  # NaN too
         raise OutOfRangeError(f"eta must be nonnegative, got {eta}")
     idx = bisect.bisect_right(path._starts, eta) - 1
     if idx < 0:

@@ -75,8 +75,6 @@ class SolverOptions:
     stop_tolerance: float = 1e-9
     use_restart: bool = True
     check_every: int = 10
-    power_iterations: int = 20
-    power_seed: int = 0
     record_objective: bool = False
 
     def __post_init__(self):
@@ -114,12 +112,17 @@ def _penalty(weights, beta: np.ndarray) -> float:
     return float(np.sort(np.abs(beta)) @ np.asarray(weights, dtype=float))
 
 
-def _lipschitz_estimate(instance: ProblemInstance, options: SolverOptions) -> float:
-    rng = np.random.Generator(np.random.PCG64(options.power_seed))
+#: power iterations, and the seed of their start, behind the fixed step 1/L
+_POWER_ITERATIONS = 20
+_POWER_SEED = 0
+
+
+def _lipschitz_estimate(instance: ProblemInstance) -> float:
+    rng = np.random.Generator(np.random.PCG64(_POWER_SEED))
     v = rng.standard_normal(instance.p)
     v /= np.linalg.norm(v)
     est = 1.0
-    for _ in range(options.power_iterations):
+    for _ in range(_POWER_ITERATIONS):
         w = instance.X.T @ (instance.X @ v) + instance.ridge * v
         est = float(np.linalg.norm(w))
         if est == 0.0:
@@ -149,7 +152,7 @@ def solve_slope(instance: ProblemInstance, weights,
     tol = options.stop_tolerance * (1.0 + float(np.max(lam, initial=0.0)))
 
     if options.step_rule == "power":
-        L = 1.05 * _lipschitz_estimate(instance, options)
+        L = 1.05 * _lipschitz_estimate(instance)
     else:
         L = 1.0
     L = max(L, 1e-12)

@@ -9,7 +9,6 @@ factor in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
     "qs_sequence",
     "sphericity_ratio",
     "contour_extremes",
-    "WeightDesign",
     "design_sequence",
     "DESIGN_NAMES",
 ]
@@ -119,13 +117,6 @@ def normal_quantile(u):
                 f"quantile argument must lie in [0, 1], got {float(chunk[bad[0]])}")
         flat_out[lo:lo + chunk.size] = _quantile_chunk(chunk)
     return float(out) if np.isscalar(u) else out
-
-
-def _check_ascending_nonnegative(lam: np.ndarray, label: str) -> np.ndarray:
-    lam = np.asarray(lam, dtype=float)
-    if lam.ndim != 1 or lam.size == 0:
-        raise ValidationError(f"{label} must be a nonempty 1-d vector")
-    return check_weight_order(lam, label)
 
 
 def bh_sequence(p: int, q: float) -> np.ndarray:
@@ -218,7 +209,10 @@ def contour_extremes(weights, r: float = 1.0) -> tuple[float, float]:
 
     Returns ``(maximum, minimum)``.
     """
-    lam = _check_ascending_nonnegative(weights, "weights")
+    lam = np.asarray(weights, dtype=float)
+    if lam.ndim != 1 or lam.size == 0:
+        raise ValidationError("weights must be a nonempty 1-d vector")
+    check_weight_order(lam)
     if not np.any(lam > 0):
         raise ZeroWeightsError("weights must not be identically zero")
     if r <= 0:
@@ -230,24 +224,6 @@ def contour_extremes(weights, r: float = 1.0) -> tuple[float, float]:
 
 
 DESIGN_NAMES = ("bh", "gauss", "oscar", "qs")
-
-
-@dataclass(frozen=True)
-class WeightDesign:
-    """A named weight design with its parameters.
-
-    kind is one of ``bh`` (needs q), ``gauss`` (needs q and n),
-    ``oscar`` (needs q, the constant offset) or ``qs`` (no parameters).
-    """
-
-    kind: str
-    p: int
-    q: float | None = None
-    n: int | None = None
-
-    def sequence(self) -> np.ndarray:
-        lam = design_sequence(self.kind, self.p, q=self.q, n=self.n)
-        return lam
 
 
 def design_sequence(kind: str, p: int, q: float | None = None, n: int | None = None) -> np.ndarray:
@@ -267,4 +243,4 @@ def design_sequence(kind: str, p: int, q: float | None = None, n: int | None = N
         lam = qs_sequence(p)
     else:
         raise ValidationError(f"unknown design {kind!r}; expected one of {DESIGN_NAMES}")
-    return _check_ascending_nonnegative(lam, f"design {kind!r} output")
+    return lam

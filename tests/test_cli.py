@@ -77,6 +77,18 @@ class TestSimulateAndPath:
         etas = [e.eta for e in path.breakpoints()]
         assert etas == pytest.approx([2.0, 4.0])
 
+    @pytest.mark.parametrize("eta_max", ["0", "-1", "nan"])
+    def test_horizon_that_is_not_positive_exit_code(self, tmp_path, t2_instance, capsys,
+                                                    eta_max):
+        from slopepath import save_instance
+        inst_file = tmp_path / "t2.csv"
+        save_instance(t2_instance, inst_file)
+        out = tmp_path / "path.jsonl"
+        assert run_cli(["path", "--instance", inst_file, "--design", "qs",
+                        "--eta-max", eta_max, "--out", out]) == 2
+        assert "error: eta_max must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolveAndCheck:
     def test_solve_then_check(self, tmp_path, t2_instance, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+import tempfile
 import time
 from pathlib import Path
 
@@ -18,8 +19,11 @@ from slopepath import (
     check_optimality,
     eval_path,
     grouped_design,
+    load_path,
+    path_metrics,
     qs_sequence,
     run_path,
+    save_path,
     segment_solution,
     solve_slope,
     structure_from_beta,
@@ -28,24 +32,17 @@ from slopepath import (
 from slopepath.datagen import ScenarioSpec, generate
 from slopepath.engine import (
     _group_column,
-    _initial_beta,
     _inv_delete,
     _sym_delete,
     _sym_insert,
     apply_event,
-    gram_data,
-    next_fuse_times,
-    next_split_times,
-    next_switch_times,
 )
 from slopepath.errors import IterationCapError, StructureInvariantBrokenError, ValidationError
 from slopepath.weights import design_sequence
 
 
 def make_state(instance, ray, options=None):
-    G, Xty = gram_data(instance)
-    beta0 = np.linalg.solve(G + instance.ridge * np.eye(instance.p), Xty)
-    return EngineState(instance, ray, beta0, options or PathOptions(), G, Xty)
+    return EngineState(instance, ray, options or PathOptions())
 
 
 def fused_t2_structure():
@@ -149,7 +146,7 @@ class TestSegmentSolution:
 class TestEventTimings:
     def test_t2_fuse_times_at_start(self, t2_instance, t2_ray):
         state = make_state(t2_instance, t2_ray)
-        dt = next_fuse_times(state)
+        dt = state.fuse_t - state.eta
         assert math.isinf(dt[0])  # lower group has zero slope, never dies first
         assert dt[1] == pytest.approx(2.0, abs=1e-12)
 
@@ -163,19 +160,18 @@ class TestEventTimings:
         inst = ProblemInstance(y=np.array([3.0, 1.0]), X=np.eye(2))
         ray = validate_ray(np.zeros(2), np.array([1.0, 1.0]))
         state = make_state(inst, ray)
-        dt = next_fuse_times(state)
+        dt = state.fuse_t - state.eta
         assert math.isinf(dt[1])  # equal slopes keep the gap constant
         assert dt[0] == pytest.approx(1.0)  # lower value heads to zero
 
     def test_t2_split_times_all_infinite(self, t2_instance, t2_ray):
         state = make_state(t2_instance, t2_ray)
-        assert next_split_times(state) == {}
+        assert np.isinf(state.split_t).all()
 
     def test_t2_switch_times_all_infinite(self, t2_instance, t2_ray):
         state = make_state(t2_instance, t2_ray)
-        order_times, sign_time = next_switch_times(state)
-        assert order_times == {}
-        assert math.isinf(sign_time)
+        assert np.isinf(state.switch_t).all()
+        assert math.isinf(state.sign_t)
 
     def test_descending_direction_splits_fused_pair(self, t2_instance):
         # start fused under lam0 = (0, 3); the direction (0, -1) relaxes the
@@ -328,6 +324,12 @@ class TestRunPath:
         path = run_path(t2_instance, ray)
         assert path.segments[-1].eta_end == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("eta_max", [0.0, -1.0, math.nan])
+    def test_rejects_a_horizon_that_is_not_positive(self, t2_instance, eta_max):
+        ray = WeightRay(np.zeros(2), np.array([0.0, 1.0]), eta_max)
+        with pytest.raises(ValidationError, match="eta_max must be positive"):
+            run_path(t2_instance, ray)
+
     def test_iteration_cap_raises(self, t2_instance, t2_ray):
         with pytest.raises(IterationCapError):
             run_path(t2_instance, t2_ray, PathOptions(iteration_cap=1))
@@ -472,8 +474,7 @@ class TestStructureFromBeta:
         read = structure_from_beta(beta0, gradient, 1e-8 * (1.0 + np.max(np.abs(beta0))))
         assert read.zero_count > 0 and np.any(read.group_sizes() > 1)
         assert check_optimality(beta0, gradient, lam0).optimal
-        state = EngineState(inst, validate_ray(lam0, qs_sequence(8)), beta0, PathOptions(),
-                            *gram_data(inst))
+        state = EngineState(inst, validate_ray(lam0, qs_sequence(8)), PathOptions())
         assert np.array_equal(state.order, read.order)
         assert np.array_equal(state.starts, read.offsets)
         assert np.array_equal(state.s, read.signs)
@@ -518,12 +519,7 @@ class TestGramForm:
     @pytest.mark.parametrize("name", ["tall", "wide_ridge", "lam0", "integer"])
     def test_gram_gradient_matches_raw_design(self, name):
         inst, ray = _gram_case(name)
-        G, Xty = gram_data(inst)
-        if np.any(ray.lam0):
-            beta0 = solve_slope(inst, ray.lam0).beta
-        else:
-            beta0 = np.linalg.solve(G + inst.ridge * np.eye(inst.p), Xty)
-        state = EngineState(inst, ray, beta0, PathOptions(), G, Xty)
+        state = EngineState(inst, ray, PathOptions())
         kinds = set()
         while True:
             beta = state.scatter_beta()
@@ -727,7 +723,7 @@ def _extended_split_time(state, pos):
     state's structure, recomputed from the raw X in extended precision."""
     L = np.longdouble
     X, y = state.instance.X.astype(L), state.instance.y.astype(L)
-    structure = state.to_structure()
+    structure = GroupStructure(state.order, state.starts, state.levels, state.s)
     S = np.zeros((state.p, state.n_groups), dtype=L)
     for j, g in enumerate(structure.groups()[1:]):
         S[g, j] = -structure.signs[g]
@@ -972,6 +968,12 @@ class TestIntegerDesignProperty:
             eta = f * last
             res = solve_slope(inst, ray.at(eta))
             assert np.max(np.abs(eval_path(path, eta) - res.beta)) < 1e-6
+        # coincident events (two deaths at one eta, say) survive the file
+        with tempfile.TemporaryDirectory() as tmp:
+            save_path(path, Path(tmp) / "path.jsonl")
+            back = load_path(Path(tmp) / "path.jsonl")
+        assert back.events == path.events
+        assert path_metrics(back) == path_metrics(path)
 
 
 class TestWindowUpdate:
@@ -1008,9 +1010,7 @@ class TestWindowUpdate:
     def test_window_matches_array_kernel(self):
         checked = {"switch_order": 0, "switch_sign": 0}
         for inst, ray in self._cases():
-            G, Xty = gram_data(inst)
-            beta0 = _initial_beta(inst, ray, PathOptions(), G, Xty)
-            state = EngineState(inst, ray, beta0, PathOptions(), G, Xty)
+            state = EngineState(inst, ray, PathOptions())
             while math.isfinite((event := state.next_event())[0]):
                 state.step(*event)
                 kind, idx = event[1], event[2]

@@ -17,6 +17,7 @@ from slopepath import (
     eval_path,
     load_instance,
     load_path,
+    path_metrics,
     run_path,
     save_instance,
     save_path,
@@ -32,7 +33,7 @@ from slopepath.errors import (
     ValidationError,
     ZeroDirectionError,
 )
-from slopepath.model import instance_hash
+from slopepath.model import instance_hash, scatter_groups
 
 
 class TestGroupStructure:
@@ -46,7 +47,7 @@ class TestGroupStructure:
         expected = np.zeros(9)
         for j, members in enumerate(structure.groups()[1:]):
             expected[members] = -signs[members] * levels[j]
-        beta = structure.scatter_beta()
+        beta = scatter_groups(order, offsets, signs, levels)
         assert np.array_equal(beta, expected)
         assert not np.any(np.signbit(beta[order[:2]]))  # +0.0 on the zero group
 
@@ -149,6 +150,22 @@ class TestSerialization:
             assert np.array_equal(a.slope, b.slope)
             assert a.ending_event == b.ending_event
         assert back.provenance == path.provenance
+        assert back.events == path.events
+
+    def test_path_round_trip_keeps_events_that_end_no_segment(self, tmp_path):
+        # both coordinates die at eta = 1: the second death ends no segment
+        inst = ProblemInstance(y=np.array([2.0, 1.0]), X=np.eye(2))
+        path = run_path(inst, validate_ray(np.zeros(2), np.array([1.0, 2.0])))
+        assert [(e.kind, e.eta) for e in path.events] \
+            == [("fuse", 1.0), ("fuse", 1.0), ("terminate", math.inf)]
+        file = tmp_path / "path.jsonl"
+        save_path(path, file)
+        records = [json.loads(line)["record"] for line in file.read_text().splitlines()]
+        assert records == ["header", "segment", "event", "segment"]
+        back = load_path(file)
+        assert back.events == path.events
+        assert len(back.segments) == len(path.segments)
+        assert path_metrics(back) == path_metrics(path) == (0.5, 0.5, 2)
 
     def test_path_options_round_trip(self, tmp_path, t2_instance, t2_ray):
         tolerances = dict(timing_clamp=2e-10, tie_rtol=3e-12, negative_margin_rtol=2e-7,
@@ -217,6 +234,7 @@ class TestEvalPath:
         path = SolutionPath(segments=(PathSegment(1.0, 3.0, np.ones(1), np.zeros(1), end),),
                             events=(end,))
         for eta, message in [(-0.5, "eta must be nonnegative, got -0.5"),
+                             (math.nan, "eta must be nonnegative, got nan"),
                              (0.5, "eta=0.5 precedes the path start"),
                              (3.0, "eta=3.0 is beyond the path horizon 3.0")]:
             with pytest.raises(OutOfRangeError, match=re.escape(message)):

@@ -170,7 +170,7 @@ def _old_solve_slope(instance, weights, options, beta0=None):
     lam = np.asarray(weights, dtype=float)
     check_weight_order(lam)
     tol = options.stop_tolerance * (1.0 + float(np.max(lam, initial=0.0)))
-    L = 1.05 * _lipschitz_estimate(instance, options) if options.step_rule == "power" else 1.0
+    L = 1.05 * _lipschitz_estimate(instance) if options.step_rule == "power" else 1.0
     L = max(L, 1e-12)
     x = np.zeros(instance.p) if beta0 is None else np.asarray(beta0, dtype=float).copy()
     z = x.copy()

@@ -313,12 +313,10 @@ class TestDesignProperties:
             design_sequence("ridge", 4)
 
     def test_design_record(self):
-        from slopepath import WeightDesign
-        assert WeightDesign("qs", 5).sequence() == pytest.approx(qs_sequence(5))
-        assert WeightDesign("bh", 4, q=0.2).sequence() == pytest.approx(
-            bh_sequence(4, 0.2))
+        assert design_sequence("qs", 5) == pytest.approx(qs_sequence(5))
+        assert design_sequence("bh", 4, q=0.2) == pytest.approx(bh_sequence(4, 0.2))
         with pytest.raises(ValidationError):
-            WeightDesign("bh", 4).sequence()  # missing level
+            design_sequence("bh", 4)  # missing level
 
     def test_qs_minimizes_contour_ratio(self):
         rng = np.random.default_rng(11)
