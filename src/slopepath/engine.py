@@ -14,9 +14,11 @@ d = G slope come from G = X^T X and X^T y, formed once per run and read on
 the nonzero coordinates only (O(p * nnz) per refresh).  A group entering
 Ainv borders it with the cross products of its column X S_k, read from X
 (O(n p)) only the first time the group forms in the run and memoized
-after that.  One method inverts the grouped Gram from scratch: at the
-start, when a bordered insert or the probe after it fails, and to check
-the cached inverse.  Three event families end a segment: adjacent group
+after that; group columns gather their members from a column-major copy
+of X, which gives the same bits as strided columns of X, faster.  One
+method inverts the grouped Gram from scratch: at the start, when a
+bordered insert or the probe after it fails, and to check the cached
+inverse.  Three event families end a segment: adjacent group
 values colliding (fuse, including a group hitting zero), a grouped
 inequality margin reaching zero (split, including activations out of the
 zero group), and the within-group gradient order or the leading
@@ -198,9 +200,11 @@ class EngineState:
     structure.
 
     ``G`` = X^T X (without the ridge) and ``Xty`` = X^T y are formed here,
-    once per run, and give the start at lam0.  ``_cross`` memoizes the
-    insert cross products per (ordered members, signs), at most n entries,
-    oldest evicted first, so it never holds more floats than X.
+    once per run, and give the start at lam0.  ``_XF`` is a column-major
+    copy of X, one more n x p array per live state, from which every group
+    column is gathered.  ``_cross`` memoizes the insert cross products per
+    (ordered members, signs), at most n entries, oldest evicted first, so
+    it never holds more floats than X.
     :meth:`_scratch_system` builds ``Ainv`` and ``XGty`` = S^T Xty from
     scratch.  ``fuse_t``, ``switch_t`` and ``split_t`` are views of one
     array of event times.
@@ -215,6 +219,7 @@ class EngineState:
         self.p = instance.p
         self.G = self.X.T @ self.X
         self.Xty = self.X.T @ instance.y
+        self._XF = np.asfortranarray(self.X)
         beta0 = _initial_beta(instance, ray, self.G, self.Xty)
         self.min_schur_ratio: float | None = None
         self.cum0 = _prefix_sums(ray.lam0)
@@ -285,7 +290,7 @@ class EngineState:
         """(XGty, Ainv) built from scratch for the current groups: the one
         place the grouped Gram is inverted."""
         structure = GroupStructure(self.order, self.starts, np.zeros(self.n_groups), self.s)
-        XGty, A = _grouped_system(structure, self.X, self.Xty, self.ridge)
+        XGty, A = _grouped_system(structure, self._XF, self.Xty, self.ridge)
         return XGty, np.linalg.inv(A)
 
     def _group_sums(self, w: np.ndarray) -> np.ndarray:
@@ -362,7 +367,10 @@ class EngineState:
     def _cross_products(self, members: np.ndarray) -> tuple[np.ndarray, float]:
         """(X^T x, x . x) for the group column x of ``members`` (in order)
         under the current signs, memoized for the run: the same bits as a
-        fresh pass over X, which only a group not seen before pays."""
+        fresh pass over X, which only a group not seen before pays.  x is
+        gathered from the column-major copy: numpy lays out X[:, members]
+        column-major from either copy, so x sums the same products in the
+        same order."""
         key = (members.tobytes(), self.s[members].tobytes())
         hit = self._cross.get(key)
         if hit is not None:
@@ -371,7 +379,7 @@ class EngineState:
         self.insert_memo["misses"] += 1
         if len(self._cross) >= self.X.shape[0]:
             del self._cross[next(iter(self._cross))]
-        col = _group_column(self.X, self.s, members)
+        col = _group_column(self._XF, self.s, members)
         hit = self._cross[key] = (self.X.T @ col, float(col @ col))
         return hit
 

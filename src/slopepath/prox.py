@@ -82,6 +82,8 @@ class SolverOptions:
             raise ValidationError("stop_tolerance must be positive")
         if self.step_rule not in ("power", "backtracking"):
             raise ValidationError("step_rule must be 'power' or 'backtracking'")
+        if self.max_iterations < 1 or self.check_every < 1:
+            raise ValidationError("max_iterations and check_every must be at least 1")
 
 
 @dataclass

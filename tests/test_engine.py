@@ -83,8 +83,10 @@ class TestGroupedDesign:
 
 
 class TestGramHelpers:
-    """The bordered insert and the deletes move blocks by slices; they must
-    equal, bit for bit, the index-permutation formulas they replaced."""
+    """The bordered insert and the deletes move blocks by slices, and group
+    columns gather from a column-major copy of X; they must equal, bit for
+    bit, the index-permutation formulas and the strided columns they
+    replaced."""
 
     @staticmethod
     def _sym(rng, m):
@@ -110,6 +112,24 @@ class TestGramHelpers:
                 assert np.array_equal(_sym_delete(B, j), B[block])
                 expected = B[block] - np.outer(B[keep, j], B[j, keep]) / B[j, j]
                 assert np.array_equal(_inv_delete(B, j), expected)
+
+    def test_column_major_gather_matches_strided_columns(self):
+        # past 8 members numpy sums a contiguous row pairwise, so a gather
+        # laid out otherwise would round differently; zeros keep their sign
+        rng = np.random.default_rng(13)
+        for n, p in ((2, 12), (7, 30), (300, 40), (8000, 80)):
+            X = rng.standard_normal((n, p)) * rng.uniform(0.1, 10.0, size=p)
+            X[rng.random((n, p)) < 0.05] = 0.0
+            X[rng.random((n, p)) < 0.05] = -0.0
+            X[0] = -0.0
+            XF = np.asfortranarray(X)
+            assert X.flags.c_contiguous and XF.flags.f_contiguous
+            signs = rng.choice([-1.0, 1.0], size=p)
+            for k in range(1, p + 1):
+                members = rng.permutation(p)[:k]
+                strided = _group_column(X, signs, members)
+                gathered = _group_column(XF, signs, members)
+                assert np.array_equal(gathered.view(np.int64), strided.view(np.int64))
 
 
 class TestSegmentSolution:
@@ -816,8 +836,9 @@ def _path_record(path):
 
 
 class TestInsertMemo:
-    """A group that forms again takes its cross products from the memo,
-    with the bits a fresh pass over X gives."""
+    """A group that forms again takes its cross products from the memo, and
+    one seen first gathers its column from the column-major copy of X;
+    both with the bits a fresh pass over the C-ordered X gives."""
 
     @staticmethod
     def _reforming_case():
@@ -826,21 +847,27 @@ class TestInsertMemo:
 
     def test_hits_return_fresh_bits(self, monkeypatch):
         lookup = EngineState._cross_products
-        hits = []
+        sizes = {"hits": [], "misses": []}
 
         def checked(state, members):
-            before = state.insert_memo["hits"]
+            before = dict(state.insert_memo)
             w, colsq = lookup(state, members)
-            if state.insert_memo["hits"] > before:
-                col = _group_column(state.X, state.s, members)
-                assert np.array_equal(w, state.X.T @ col)
-                assert np.array_equal(colsq, float(col @ col))
-                hits.append(members.copy())
+            assert state.X.flags.c_contiguous
+            col = _group_column(state.X, state.s, members)
+            assert np.array_equal(w.view(np.int64), (state.X.T @ col).view(np.int64))
+            assert np.array_equal(np.float64(colsq).view(np.int64),
+                                  np.float64(col @ col).view(np.int64))
+            kind, = (k for k in sizes if state.insert_memo[k] > before[k])
+            sizes[kind].append(members.size)
             return w, colsq
 
         monkeypatch.setattr(EngineState, "_cross_products", checked)
         run_path(*self._reforming_case())
-        assert hits
+        # a tall instance whose groups grow past 8 members
+        inst, _ = generate(ScenarioSpec(scenario=1, p=24, n=2400, seed=0))
+        run_path(inst, validate_ray(np.zeros(24), qs_sequence(24)))
+        assert sizes["hits"] and sizes["misses"]
+        assert max(sizes["misses"]) >= 9
 
     def test_counts_every_insert(self, monkeypatch):
         insert = EngineState._insert_group_algebra

@@ -106,6 +106,12 @@ class TestSolveSlope:
         assert err.report is not None
         assert err.iterations == 2
 
+    @pytest.mark.parametrize("field", ["check_every", "max_iterations"])
+    def test_rejects_counts_below_one(self, field):
+        for value in (0, -1):
+            with pytest.raises(ValidationError, match=field):
+                SolverOptions(**{field: value})
+
     def test_deterministic(self, t2_instance):
         lam = np.array([0.3, 0.8])
         a = solve_slope(t2_instance, lam)
