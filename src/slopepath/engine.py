@@ -750,33 +750,40 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
     seg_beta = state.scatter_beta()
     seg_slope = state.scatter_slope()
 
-    while True:
-        t, kind, idx = state.next_event()
-        if t >= ray.eta_max or math.isinf(t):
-            end = ray.eta_max if math.isfinite(ray.eta_max) else math.inf
-            terminal = PathEvent(kind="terminate", eta=end,
-                                 nnz=state.nnz, n_groups=state.n_groups)
-            segments.append(PathSegment(seg_eta, end, seg_beta, seg_slope, terminal))
-            events.append(terminal)
-            break
-        if state.n_events >= cap:
-            raise IterationCapError(
-                f"event cap {cap} reached at eta={state.eta!r}; "
-                "raise iteration_cap if the path is genuinely this long"
-            )
-        g, k = state.step(t, kind, idx)
-        event = PathEvent(kind=kind, eta=t, g=g, k=k,
-                          nnz=state.nnz, n_groups=state.n_groups)
-        events.append(event)
-        if options.validate_every and state.n_events % options.validate_every == 0:
-            state.gram_checks.append((state.n_events, state.scratch_check()))
-        if t > seg_eta:
-            segments.append(PathSegment(seg_eta, t, seg_beta, seg_slope, event))
-            seg_eta = t
-        seg_beta = state.scatter_beta()
-        # a switch leaves the slope as it was: its segments share the array
-        if kind == "fuse" or kind == "split":
-            seg_slope = state.scatter_slope()
+    # one handler around the whole loop, which costs nothing until it
+    # catches: a numerical failure leaves with what reproduces it
+    try:
+        while True:
+            t, kind, idx = state.next_event()
+            if t >= ray.eta_max or math.isinf(t):
+                end = ray.eta_max if math.isfinite(ray.eta_max) else math.inf
+                terminal = PathEvent(kind="terminate", eta=end,
+                                     nnz=state.nnz, n_groups=state.n_groups)
+                segments.append(PathSegment(seg_eta, end, seg_beta, seg_slope, terminal))
+                events.append(terminal)
+                break
+            if state.n_events >= cap:
+                raise IterationCapError(
+                    f"event cap {cap} reached at eta={state.eta!r}; "
+                    "raise iteration_cap if the path is genuinely this long"
+                )
+            g, k = state.step(t, kind, idx)
+            event = PathEvent(kind=kind, eta=t, g=g, k=k,
+                              nnz=state.nnz, n_groups=state.n_groups)
+            events.append(event)
+            if options.validate_every and state.n_events % options.validate_every == 0:
+                state.gram_checks.append((state.n_events, state.scratch_check()))
+            if t > seg_eta:
+                segments.append(PathSegment(seg_eta, t, seg_beta, seg_slope, event))
+                seg_eta = t
+            seg_beta = state.scatter_beta()
+            # a switch leaves the slope as it was: its segments share the array
+            if kind == "fuse" or kind == "split":
+                seg_slope = state.scatter_slope()
+    except NumericalError as exc:
+        exc.add_context(instance_hash(instance), ray.describe(), len(events),
+                        [(e.kind, e.eta, e.g, e.k) for e in events[-8:]])
+        raise
 
     kinds = Counter(e.kind for e in events)
     provenance = {

@@ -15,7 +15,29 @@ class ValidationError(SlopePathError):
 
 
 class NumericalError(SlopePathError):
-    """A numerical procedure failed or detected an internal inconsistency."""
+    """A numerical procedure failed or detected an internal inconsistency.
+
+    Raised out of a path run, it carries what reproduces the failure:
+    ``instance_hash``, ``ray`` (``WeightRay.describe()``), ``event_index``
+    (the number of events recorded before the failing step) and
+    ``recent_events`` (the last eight as (kind, eta, g, k)), all also
+    appended to the message.
+    """
+
+    instance_hash = None
+    ray = None
+    event_index = None
+    recent_events = ()
+
+    def add_context(self, instance_hash: str, ray: dict, event_index: int,
+                    recent_events) -> None:
+        self.instance_hash = instance_hash
+        self.ray = ray
+        self.event_index = event_index
+        self.recent_events = tuple(recent_events)
+        message = self.args[0] if self.args else ""
+        self.args = (f"{message} [instance {instance_hash}, event index {event_index}, "
+                     f"ray {ray}, last events {list(self.recent_events)}]", *self.args[1:])
 
 
 # --- validation ---------------------------------------------------------

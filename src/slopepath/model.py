@@ -246,17 +246,14 @@ def check_weight_order(lam) -> np.ndarray:
     """Return ``lam`` as floats; raise ValidationError unless it is
     ascending and nonnegative."""
     lam = np.asarray(lam, dtype=float)
-    if lam.size and (lam[0] < 0 or (np.diff(lam) < 0).any()):
+    if lam.size and (lam[0] < 0 or (lam[..., 1:] < lam[..., :-1]).any()):
         raise ValidationError("weights must be ascending and nonnegative")
     return lam
 
 
-def validate_instance(instance: ProblemInstance) -> ProblemInstance:
-    """Check finiteness, shape, and invertibility of the ridge-adjusted Gram.
-
-    Returns the instance with ``effective_rank`` recorded on it; raises
-    :class:`NonFiniteError` or :class:`SingularGramError` otherwise.
-    """
+def check_instance_data(instance: ProblemInstance) -> None:
+    """Raise unless X is a nonempty matrix with one row per entry of y,
+    every entry and the ridge are finite, and the ridge is nonnegative."""
     y, X = instance.y, instance.X
     if X.ndim != 2 or y.ndim != 1:
         raise ValidationError("X must be 2-d and y 1-d")
@@ -268,6 +265,15 @@ def validate_instance(instance: ProblemInstance) -> ProblemInstance:
     if instance.ridge < 0:
         raise ValidationError("ridge must be nonnegative")
 
+
+def validate_instance(instance: ProblemInstance) -> ProblemInstance:
+    """Check finiteness, shape, and invertibility of the ridge-adjusted Gram.
+
+    Returns the instance with ``effective_rank`` recorded on it; raises
+    :class:`NonFiniteError` or :class:`SingularGramError` otherwise.
+    """
+    check_instance_data(instance)
+    X, p = instance.X, instance.p
     gram = X.T @ X + instance.ridge * np.eye(p)
     eigvals = np.linalg.eigvalsh(gram)
     tol = SINGULARITY_RTOL * max(float(np.max(np.diag(gram))), 1e-300)

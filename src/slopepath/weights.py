@@ -53,6 +53,10 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 #: Python floats handed to libm above all) to a few MB whatever the input size
 _QUANTILE_CHUNK = 1 << 14
 
+#: inputs up to this size go element by element: below it, numpy's fixed
+#: cost per call exceeds the per-element cost of Python floats
+_SCALAR_MAX = 64
+
 
 def _libm(fn, a: np.ndarray) -> np.ndarray:
     """``fn`` from :mod:`math` on each element: numpy's exp and log may
@@ -60,39 +64,82 @@ def _libm(fn, a: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, a.tolist()), float, a.size)
 
 
-def _quantile_chunk(u: np.ndarray) -> np.ndarray:
-    """Quantiles of the 1-d ``u``, all in [0, 1] (checked by the caller).
+def _erfc(a: np.ndarray) -> np.ndarray:
+    return _libm(math.erfc, a)
 
-    Each element goes through the same operations, in the same order, as
-    in the one-float-at-a-time recipe (kept in the tests as the oracle);
-    numpy's +, *, / and sqrt round as Python floats do, so the results are
-    bit-identical to it.
-    """
-    # central region, evaluated everywhere and overwritten in the tails
+
+def _exp(a: np.ndarray) -> np.ndarray:
+    return _libm(math.exp, a)
+
+
+# The formulas take Python floats or numpy arrays alike: numpy's +, *, /
+# and sqrt round as Python floats do, so both give the same bits.
+
+def _central(u):
+    """Rational approximation on 0.02425 <= u <= 0.97575."""
     q = u - 0.5
     r = q * q
-    x = ((((((_QA[0] * r + _QA[1]) * r + _QA[2]) * r + _QA[3]) * r + _QA[4]) * r + _QA[5]) * q
-         / (((((_QB[0] * r + _QB[1]) * r + _QB[2]) * r + _QB[3]) * r + _QB[4]) * r + 1.0))
-    lower = u < 0.02425
-    upper = u > 0.97575
-    tail = np.flatnonzero((lower | upper) & (u != 0.0) & (u != 1.0))
-    t = u[tail]
-    low = lower[tail]
-    q = np.sqrt(-2.0 * _libm(math.log, np.where(low, t, 1.0 - t)))
-    v = ((((((_QC[0] * q + _QC[1]) * q + _QC[2]) * q + _QC[3]) * q + _QC[4]) * q + _QC[5])
-         / ((((_QD[0] * q + _QD[1]) * q + _QD[2]) * q + _QD[3]) * q + 1.0))
-    x[tail] = np.where(low, v, -v)
-    x[u == 0.0] = -math.inf
-    x[u == 1.0] = math.inf
-    # One Halley step: e = Phi(x) - u, with Phi via erfc.  Skipped in the
-    # extreme tails where exp(x^2/2) overflows; the unrefined value is
-    # already accurate to ~1e-9 relative there.
-    refine = np.flatnonzero(np.abs(x) < 26.0)
-    xr = x[refine]
-    e = 0.5 * _libm(math.erfc, -xr / _SQRT2) - u[refine]
-    v = e * _SQRT2PI * _libm(math.exp, 0.5 * xr * xr)
-    x[refine] = xr - v / (1.0 + 0.5 * xr * v)
-    return x
+    return ((((((_QA[0] * r + _QA[1]) * r + _QA[2]) * r + _QA[3]) * r + _QA[4]) * r + _QA[5]) * q
+            / (((((_QB[0] * r + _QB[1]) * r + _QB[2]) * r + _QB[3]) * r + _QB[4]) * r + 1.0))
+
+
+def _lower_tail(q):
+    """Rational approximation in the lower tail, at q = sqrt(-2 log u)."""
+    return ((((((_QC[0] * q + _QC[1]) * q + _QC[2]) * q + _QC[3]) * q + _QC[4]) * q + _QC[5])
+            / ((((_QD[0] * q + _QD[1]) * q + _QD[2]) * q + _QD[3]) * q + 1.0))
+
+
+def _halley(x, u, erfc, exp):
+    """One Halley step on Phi(x) = u, with Phi through erfc."""
+    e = 0.5 * erfc(-x / _SQRT2) - u
+    v = e * _SQRT2PI * exp(0.5 * x * x)
+    return x - v / (1.0 + 0.5 * x * v)
+
+
+def _quantile_scalar(u: float) -> float:
+    """The quantile of one float in [0, 1] (checked by the caller)."""
+    if 0.02425 <= u <= 0.97575:
+        x = _central(u)
+    elif u == 0.0 or u == 1.0:
+        return math.inf if u else -math.inf
+    elif u < 0.5:
+        x = _lower_tail(math.sqrt(-2.0 * math.log(u)))
+    else:
+        x = -_lower_tail(math.sqrt(-2.0 * math.log(1.0 - u)))
+    # skipped in the extreme tails, where exp(x^2/2) overflows; the
+    # unrefined value is already accurate to ~1e-9 relative there
+    return _halley(x, u, math.erfc, math.exp) if abs(x) < 26.0 else x
+
+
+def _quantile_chunk(u: np.ndarray) -> np.ndarray:
+    """:func:`_quantile_scalar` on each element of the 1-d ``u``, on whole
+    arrays.
+
+    Each element goes through the same operations, in the same order.  The
+    central formula runs on the whole chunk (cheaper than gathering the
+    central elements when most are central) and the tails overwrite it;
+    the tail formula, the infinite ends and the gathers of the Halley step
+    are skipped when they select no element.
+    """
+    x = _central(u)
+    tail = ((u < 0.02425) | (u > 0.97575)).nonzero()[0]
+    if tail.size:
+        t = u[tail]
+        low = t < 0.5
+        near = np.where(low, t, 1.0 - t)  # distance to the nearer end
+        ends = near == 0.0  # u = 0 or 1, whose log is not taken
+        has_ends = ends.any()
+        if has_ends:
+            near[ends] = 1.0
+        v = _lower_tail(np.sqrt(-2.0 * _libm(math.log, near)))
+        if has_ends:
+            v[ends] = -math.inf
+        x[tail] = np.where(low, v, -v)
+        refine = (np.abs(x) < 26.0).nonzero()[0]
+        if refine.size < x.size:
+            x[refine] = _halley(x[refine], u[refine], _erfc, _exp)
+            return x
+    return _halley(x, u, _erfc, _exp)
 
 
 def normal_quantile(u):
@@ -100,10 +147,12 @@ def normal_quantile(u):
 
     Accurate to a few ulp (rational approximation plus one Halley
     refinement).  ``u=0`` and ``u=1`` map to -inf and +inf; a scalar
-    argument returns a Python float.  The arithmetic runs on whole numpy
-    chunks of ``_QUANTILE_CHUNK`` elements, and only the libm calls (log in
-    the tails, exp and erfc) go element by element through :mod:`math`, so
-    the draws equal, bit for bit, those of the element-at-a-time recipe.
+    argument returns a Python float.  Inputs of more than ``_SCALAR_MAX``
+    elements run on whole numpy chunks of ``_QUANTILE_CHUNK`` elements,
+    with only the libm calls (log in the tails, exp and erfc) going element
+    by element through :mod:`math`; smaller ones go element by element.
+    Either way the draws equal, bit for bit, those of the
+    element-at-a-time recipe.
     """
     arr = np.asarray(u, dtype=float)
     flat = arr.reshape(-1)
@@ -111,11 +160,12 @@ def normal_quantile(u):
     flat_out = out.reshape(-1)
     for lo in range(0, flat.size, _QUANTILE_CHUNK):
         chunk = flat[lo:lo + _QUANTILE_CHUNK]
-        bad = np.flatnonzero(~((chunk >= 0.0) & (chunk <= 1.0)))  # NaN too
-        if bad.size:
-            raise ValidationError(
-                f"quantile argument must lie in [0, 1], got {float(chunk[bad[0]])}")
-        flat_out[lo:lo + chunk.size] = _quantile_chunk(chunk)
+        inside = (chunk >= 0.0) & (chunk <= 1.0)  # NaN fails both
+        if not inside.all():
+            raise ValidationError("quantile argument must lie in [0, 1], "
+                                  f"got {float(chunk[inside.argmin()])}")
+        flat_out[lo:lo + chunk.size] = _quantile_chunk(chunk) if chunk.size > _SCALAR_MAX \
+            else np.fromiter(map(_quantile_scalar, chunk.tolist()), float, chunk.size)
     return float(out) if np.isscalar(u) else out
 
 

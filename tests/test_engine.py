@@ -37,7 +37,13 @@ from slopepath.engine import (
     _sym_insert,
     apply_event,
 )
-from slopepath.errors import IterationCapError, StructureInvariantBrokenError, ValidationError
+from slopepath.errors import (
+    IterationCapError,
+    NumericalError,
+    StructureInvariantBrokenError,
+    ValidationError,
+)
+from slopepath.model import instance_hash
 from slopepath.weights import design_sequence
 
 
@@ -716,6 +722,65 @@ class TestStructureChecks:
         state.order[[k, k + 1]] = state.order[[k + 1, k]]
         with pytest.raises(StructureInvariantBrokenError, match="order"):
             state.refresh()
+
+
+class TestErrorContext:
+    """A numerical error out of run_path names the instance, the ray, the
+    failing event's index and the events before it."""
+
+    @staticmethod
+    def _plant_inversion_after(monkeypatch, min_events):
+        # as in TestStructureChecks: once a fused group with distinct
+        # gradient values exists, swap two of its members and refresh
+        step = EngineState.step
+
+        def planted(self, t, kind, idx):
+            out = step(self, t, kind, idx)
+            if self.n_events > min_events:
+                sizes = np.diff(self.starts)
+                gaps = np.diff(self.sgrad_val)
+                for j in np.flatnonzero(sizes > 1):
+                    a, b = self.slice_of_group(int(j))
+                    if np.max(gaps[a:b - 1]) > 1e-3:
+                        k = a + int(np.argmax(gaps[a:b - 1]))
+                        self.order[[k, k + 1]] = self.order[[k + 1, k]]
+                        self.refresh()
+            return out
+
+        monkeypatch.setattr(EngineState, "step", planted)
+
+    def test_planted_inversion_carries_reproduction_context(self, monkeypatch):
+        inst, _ = generate(ScenarioSpec(scenario=1, p=8, n=40, seed=21))
+        ray = validate_ray(np.zeros(8), bh_sequence(8, 0.1))
+        clean = run_path(inst, ray)
+        self._plant_inversion_after(monkeypatch, 9)
+        with pytest.raises(StructureInvariantBrokenError) as info:
+            run_path(inst, ray)
+        exc = info.value
+        assert exc.instance_hash == instance_hash(inst)
+        assert exc.ray == ray.describe()
+        index = exc.event_index
+        assert 9 <= index < len(clean.events) - 1
+        # the events the clean path recorded before the failing step
+        expected = [(e.kind, e.eta, e.g, e.k) for e in clean.events[index - 8:index]]
+        assert list(exc.recent_events) == expected
+        message = str(exc)
+        assert message.startswith("gradient order already inverted")
+        assert instance_hash(inst) in message
+        assert f"event index {index}" in message
+        assert repr(expected[-1]) in message and str(ray.describe()) in message
+
+    def test_event_cap_carries_context(self):
+        inst, _ = generate(ScenarioSpec(scenario=1, p=8, n=40, seed=21))
+        ray = validate_ray(np.zeros(8), bh_sequence(8, 0.1))
+        clean = run_path(inst, ray)
+        with pytest.raises(IterationCapError) as info:
+            run_path(inst, ray, PathOptions(iteration_cap=5))
+        assert isinstance(info.value, NumericalError)
+        assert info.value.event_index == 5
+        assert list(info.value.recent_events) == [
+            (e.kind, e.eta, e.g, e.k) for e in clean.events[:5]]
+        assert str(info.value).startswith("event cap 5 reached")
 
 
 _PINNED = json.loads((Path(__file__).with_name("pinned_paths.json")).read_text())

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from slopepath import ProblemInstance, SolverOptions, solve_slope, sorted_l1_prox
-from slopepath.errors import DidNotConvergeError, ValidationError
+from slopepath.errors import DidNotConvergeError, NonFiniteError, ValidationError
 from slopepath.model import check_weight_order
 from slopepath.optimality import check_optimality
+from slopepath import prox
 from slopepath.prox import SolveResult, _lipschitz_estimate, slope_objective
 
 from conftest import prox_bruteforce, random_ascending_weights
@@ -112,6 +113,10 @@ class TestSolveSlope:
             with pytest.raises(ValidationError, match=field):
                 SolverOptions(**{field: value})
 
+    def test_rejects_nan_stop_tolerance(self):
+        with pytest.raises(ValidationError, match="stop_tolerance"):
+            SolverOptions(stop_tolerance=float("nan"))
+
     def test_deterministic(self, t2_instance):
         lam = np.array([0.3, 0.8])
         a = solve_slope(t2_instance, lam)
@@ -126,6 +131,80 @@ class TestSolveSlope:
         resid = t2_instance.y - t2_instance.X @ beta
         direct = 0.5 * resid @ resid + np.sort(np.abs(beta)) @ lam
         assert val == pytest.approx(direct)
+
+
+class TestSolverInputChecks:
+    """Non-finite or misshapen input raises at once instead of sending the
+    step search into an endless loop (NaN losses never pass its test)."""
+
+    @staticmethod
+    def _instance(X=None, y=(1.0, 2.0, 3.0)):
+        return ProblemInstance(y=y, X=np.eye(3) if X is None else X)
+
+    @pytest.mark.parametrize("weights", [[0.0, float("nan"), 1.0], [0.0, 1.0, float("inf")]])
+    def test_non_finite_weight(self, weights):
+        with pytest.raises(NonFiniteError, match="weights"):
+            solve_slope(self._instance(), weights)
+
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_non_finite_beta0(self, position):
+        beta0 = np.zeros(3)
+        beta0[position] = float("nan") if position else -float("inf")
+        with pytest.raises(NonFiniteError, match="beta0"):
+            solve_slope(self._instance(), [0.0, 0.5, 1.0], beta0=beta0)
+
+    def test_beta0_of_wrong_length(self):
+        with pytest.raises(ValidationError, match="beta0 must have one entry per column"):
+            solve_slope(self._instance(), [0.0, 0.5, 1.0], beta0=[0.0, 0.0])
+
+    @pytest.mark.parametrize("where", ["X", "y", "ridge"])
+    def test_non_finite_unvalidated_instance(self, where):
+        X = np.eye(3)
+        y = np.array([1.0, 2.0, 3.0])
+        ridge = 0.0
+        if where == "X":
+            X[1, 1] = float("nan")
+        elif where == "y":
+            y[0] = float("inf")
+        else:
+            ridge = float("nan")
+        with pytest.raises(NonFiniteError, match="instance"):
+            solve_slope(ProblemInstance(y=y, X=X, ridge=ridge), [0.0, 0.5, 1.0])
+
+    @pytest.mark.parametrize("y, ridge, message", [
+        ((1.0, 2.0), 0.0, "inconsistent shapes"),
+        ((1.0, 2.0, 3.0), -0.5, "ridge must be nonnegative"),
+    ])
+    def test_misshapen_unvalidated_instance(self, y, ridge, message):
+        with pytest.raises(ValidationError, match=message):
+            solve_slope(ProblemInstance(y=y, X=np.eye(3), ridge=ridge), [0.0, 0.5, 1.0])
+
+    @pytest.mark.parametrize("step_rule", ["power", "backtracking"])
+    def test_overflowing_losses_stop_the_step_search(self, step_rule):
+        # finite data whose losses overflow: the trial loss is NaN at once
+        X = np.array([[1e300, 1e300], [1e300, -1e300]])
+        inst = ProblemInstance(y=[1e300, -1e300], X=X)
+        with np.errstate(all="ignore"), pytest.raises(DidNotConvergeError) as info:
+            solve_slope(inst, [0.0, 1.0], SolverOptions(step_rule=step_rule))
+        assert info.value.beta.tolist() == [0.0, 0.0]
+        assert info.value.iterations == 1
+        assert "step search broke down" in str(info.value)
+
+    def test_lipschitz_estimate_is_computed_once_per_instance(self, monkeypatch):
+        inst = self._instance(X=np.array([[2.0, 0.5, 0.0], [0.0, 1.0, 0.3], [0.1, 0.0, 1.5]]))
+        first = solve_slope(inst, [0.1, 0.2, 0.4])
+        assert inst.lipschitz_estimate == _lipschitz_estimate(inst)
+
+        def fail(instance):
+            raise AssertionError("estimate recomputed")
+
+        monkeypatch.setattr(prox, "_lipschitz_estimate", fail)
+        again = solve_slope(inst, [0.1, 0.2, 0.4])
+        assert again.beta.tobytes() == first.beta.tobytes()
+        assert again.iterations == first.iterations
+        # a fresh instance with the same data does not share the cache
+        with pytest.raises(AssertionError, match="recomputed"):
+            solve_slope(ProblemInstance(y=inst.y, X=inst.X), [0.1, 0.2, 0.4])
 
 
 # Frozen copies of the numpy-scalar PAV prox and of the solver loop that

@@ -15,7 +15,7 @@ from slopepath import (
     qs_sequence,
     sphericity_ratio,
 )
-from slopepath.weights import _QUANTILE_CHUNK
+from slopepath.weights import _QUANTILE_CHUNK, _SCALAR_MAX, _quantile_chunk
 from slopepath.errors import (
     DenominatorUnderflowError,
     InvalidLevelError,
@@ -77,7 +77,12 @@ def _oracle(u) -> np.ndarray:
 def _assert_bits_equal(u):
     ours = normal_quantile(u)
     assert ours.shape == np.shape(u)
-    assert np.array_equal(ours.view(np.int64), _oracle(u).view(np.int64))
+    expected = _oracle(u).view(np.int64)
+    assert np.array_equal(ours.view(np.int64), expected)
+    # inputs of at most _SCALAR_MAX elements go element by element; the
+    # array kernel must give the same bits on them too
+    flat = np.ravel(u)
+    assert np.array_equal(_quantile_chunk(flat).view(np.int64), expected.ravel())
 
 
 class TestQuantileBitIdentity:
@@ -110,6 +115,17 @@ class TestQuantileBitIdentity:
         if u.size:
             u.flat[0], u.flat[-1] = 1e-4, 1.0 - 1e-4  # both tails
         _assert_bits_equal(u)
+
+    @pytest.mark.parametrize("size", [1, _SCALAR_MAX, _SCALAR_MAX + 1])
+    def test_both_sides_of_the_scalar_cutoff(self, size):
+        # every branch (both tails, both ends, the unrefined far tails)
+        # on either side of the element-by-element cutoff
+        special = [0.0, 1.0, 1e-300, 5e-324, 1e-4, 0.02425, 0.5, 0.97575, 1.0 - 1e-4]
+        rng = np.random.default_rng(size)
+        for value in special:
+            u = rng.uniform(size=size)
+            u[size // 2] = value
+            _assert_bits_equal(u)
 
     def test_non_contiguous_input(self):
         u = np.random.default_rng(5).uniform(size=(6, 8))
