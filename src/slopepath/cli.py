@@ -153,7 +153,9 @@ def _cmd_path(args) -> int:
         f"{diag['absorbed_events']} absorbed, "
         f"{sum(diag['suppressed_bounces'].values())} suppressed bounces, "
         f"insert memo {diag['insert_memo']['hits']} hits / "
-        f"{diag['insert_memo']['misses']} misses, {diag['clamped_timings']} clamped timings\n"
+        f"{diag['insert_memo']['misses']} misses, {diag['clamped_timings']} clamped timings, "
+        f"rebuilds {diag['rebuilds']['schur']} schur / {diag['rebuilds']['probe']} probe, "
+        f"{diag['stored_knots']} stored knots\n"
     )
     return 0
 

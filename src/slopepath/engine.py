@@ -50,8 +50,8 @@ from .errors import (
 )
 from .model import (
     GroupStructure,
+    KnotSegments,
     PathEvent,
-    PathSegment,
     ProblemInstance,
     SolutionPath,
     WeightRay,
@@ -199,12 +199,13 @@ class EngineState:
     values; ``inf`` marks an event that cannot happen under the current
     structure.
 
-    ``G`` = X^T X (without the ridge) and ``Xty`` = X^T y are formed here,
-    once per run, and give the start at lam0.  ``_XF`` is a column-major
-    copy of X, one more n x p array per live state, from which every group
-    column is gathered.  ``_cross`` memoizes the insert cross products per
-    (ordered members, signs), at most n entries, oldest evicted first, so
-    it never holds more floats than X.
+    ``G`` = X^T X (without the ridge) is the one :func:`validate_instance`
+    cached on the instance, formed here only for an instance never
+    validated; with ``Xty`` = X^T y it gives the start at lam0.  ``_XF`` is
+    a column-major copy of X, one more n x p array per live state, from
+    which every group column is gathered.  ``_cross`` memoizes the insert
+    cross products per (ordered members, signs), at most n entries, oldest
+    evicted first, so it never holds more floats than X.
     :meth:`_scratch_system` builds ``Ainv`` and ``XGty`` = S^T Xty from
     scratch.  ``fuse_t``, ``switch_t`` and ``split_t`` are views of one
     array of event times.
@@ -217,7 +218,9 @@ class EngineState:
         self.X = instance.X
         self.ridge = instance.ridge
         self.p = instance.p
-        self.G = self.X.T @ self.X
+        self.G = instance.__dict__.get("gram")
+        if self.G is None:
+            self.G = self.X.T @ self.X
         self.Xty = self.X.T @ instance.y
         self._XF = np.asfortranarray(self.X)
         beta0 = _initial_beta(instance, ray, self.G, self.Xty)
@@ -234,9 +237,10 @@ class EngineState:
         self._cross: dict[tuple[bytes, bytes], tuple[np.ndarray, float]] = {}
         self.insert_memo = {"hits": 0, "misses": 0}
 
-        # event bookkeeping
+        # event bookkeeping; from-scratch rebuilds by cause: a Schur
+        # complement <= 0 in a bordered insert, or the probe past probe_tol
         self.n_events = 0
-        self.fallbacks = 0
+        self.rebuilds = {"schur": 0, "probe": 0}
         # tolerance decisions: events absorbed "in the past" by advance,
         # event times snapped to now (see _time_to_zero), and candidates
         # blanked as floating-point bounces, by the kind undone
@@ -263,6 +267,11 @@ class EngineState:
     @property
     def nnz(self) -> int:
         return self.p - self.zero_count
+
+    @property
+    def fallbacks(self) -> int:
+        """From-scratch rebuilds of Ainv, every cause together."""
+        return sum(self.rebuilds.values())
 
     def group_of_position(self, pos: int) -> int:
         """Nonzero group index for a position, -1 for the zero group."""
@@ -305,7 +314,9 @@ class EngineState:
         m = self.n_groups
         if m == 0:
             return
+        cause = "schur"
         if self.Ainv is not None:
+            cause = "probe"
             j = self.n_events % m
             members = self.order[self.starts[j]:self.starts[j + 1]]
             col = self._group_sums(self.G[members].T @ -self.s[members])
@@ -315,7 +326,7 @@ class EngineState:
             if float(np.abs(resid).max()) <= self.options.probe_tol:
                 return
         self.XGty, self.Ainv = self._scratch_system()
-        self.fallbacks += 1
+        self.rebuilds[cause] += 1
 
     def _restructure(self, first: int, n_old: int, starts: np.ndarray) -> None:
         """The one structural edit: nonzero groups first .. first + n_old - 1
@@ -744,11 +755,11 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
 
     state = EngineState(instance, ray, options)
 
-    segments: list[PathSegment] = []
     events: list[PathEvent] = []
-    seg_eta = 0.0
-    seg_beta = state.scatter_beta()
-    seg_slope = state.scatter_slope()
+    # knots: beta and the slope where the slope may change, and where a
+    # switch leaves a grouped value on an exact zero (see KnotSegments)
+    knot_at, knot_eta = [0], [0.0]
+    betas, slopes = [state.scatter_beta()], [state.scatter_slope()]
 
     # one handler around the whole loop, which costs nothing until it
     # catches: a numerical failure leaves with what reproduces it
@@ -757,10 +768,8 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
             t, kind, idx = state.next_event()
             if t >= ray.eta_max or math.isinf(t):
                 end = ray.eta_max if math.isfinite(ray.eta_max) else math.inf
-                terminal = PathEvent(kind="terminate", eta=end,
-                                     nnz=state.nnz, n_groups=state.n_groups)
-                segments.append(PathSegment(seg_eta, end, seg_beta, seg_slope, terminal))
-                events.append(terminal)
+                events.append(PathEvent(kind="terminate", eta=end,
+                                        nnz=state.nnz, n_groups=state.n_groups))
                 break
             if state.n_events >= cap:
                 raise IterationCapError(
@@ -768,18 +777,17 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
                     "raise iteration_cap if the path is genuinely this long"
                 )
             g, k = state.step(t, kind, idx)
-            event = PathEvent(kind=kind, eta=t, g=g, k=k,
-                              nnz=state.nnz, n_groups=state.n_groups)
-            events.append(event)
+            events.append(PathEvent(kind=kind, eta=t, g=g, k=k,
+                                    nnz=state.nnz, n_groups=state.n_groups))
             if options.validate_every and state.n_events % options.validate_every == 0:
                 state.gram_checks.append((state.n_events, state.scratch_check()))
-            if t > seg_eta:
-                segments.append(PathSegment(seg_eta, t, seg_beta, seg_slope, event))
-                seg_eta = t
-            seg_beta = state.scatter_beta()
-            # a switch leaves the slope as it was: its segments share the array
-            if kind == "fuse" or kind == "split":
-                seg_slope = state.scatter_slope()
+            structural = kind == "fuse" or kind == "split"
+            if structural or np.count_nonzero(state.levels) < state.levels.size:
+                knot_at.append(len(events))
+                knot_eta.append(state.eta)
+                betas.append(state.scatter_beta())
+                # a switch leaves the slope as it was: its knots share the array
+                slopes.append(state.scatter_slope() if structural else slopes[-1])
     except NumericalError as exc:
         exc.add_context(instance_hash(instance), ray.describe(), len(events),
                         [(e.kind, e.eta, e.g, e.k) for e in events[-8:]])
@@ -798,13 +806,16 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
             "switch_events": kinds["switch_order"],
             "sign_switch_events": kinds["switch_sign"],
             "fallback_refactorizations": state.fallbacks,
+            "rebuilds": dict(state.rebuilds),
             "min_schur_ratio": state.min_schur_ratio,
             "absorbed_events": state.n_absorbed,
             "clamped_timings": state.n_clamped,
             "suppressed_bounces": dict(state.suppressed),
             "insert_memo": dict(state.insert_memo),
             "gram_checks": [[i, err] for i, err in state.gram_checks],
+            "stored_knots": len(betas),
         },
     }
-    return SolutionPath(segments=tuple(segments), events=tuple(events),
-                        provenance=provenance)
+    events = tuple(events)
+    return SolutionPath(segments=KnotSegments(events, knot_at, knot_eta, betas, slopes),
+                        events=events, provenance=provenance)

@@ -3,6 +3,8 @@
 Everything here is regarded as immutable after construction except
 :class:`GroupStructure`, the plain record of one point's groups that the
 structure reader, the grouped-Gram builder and the optimality check share.
+A traced path stores beta and the slope at its knots only, and
+:class:`KnotSegments` builds its segments on access.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import bisect
 import hashlib
 import json
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -199,8 +203,12 @@ class PathEvent:
 
 @dataclass(frozen=True)
 class PathSegment:
-    """One linear piece beta(eta) = beta_start + (eta - eta_start) * slope;
-    consecutive segments may share one ``slope`` array: do not write to it."""
+    """One linear piece beta(eta) = beta_start + (eta - eta_start) * slope.
+
+    A traced path builds its segments on access (:class:`KnotSegments`):
+    ``slope``, and ``beta_start`` where it is a stored knot, are the path's
+    own arrays, shared by every segment built from them, so do not write
+    to either."""
 
     eta_start: float
     eta_end: float
@@ -217,18 +225,125 @@ class PathSegment:
     def value(self, eta: float) -> np.ndarray:
         return self.beta_start + (eta - self.eta_start) * self.slope
 
+    @classmethod
+    def _unchecked(cls, eta_start, eta_end, beta_start, slope, ending_event) -> "PathSegment":
+        """A segment from float64 arrays and eta_start < eta_end, without
+        the conversions and the check, which a traced path's fields pass."""
+        seg = object.__new__(cls)
+        seg.__dict__.update(eta_start=eta_start, eta_end=eta_end, beta_start=beta_start,
+                            slope=slope, ending_event=ending_event)
+        return seg
+
+
+class KnotSegments(Sequence):
+    """The segments of a traced path, read-only and built on access from
+    its knots.
+
+    A knot holds beta and the slope at the start and after each fuse or
+    split, the events that change the slope.  A switch only advances the
+    engine's grouped values, ``levels + (eta_new - eta) * slopeG``; signs
+    are +-1 and rounding is sign-symmetric, so ``beta + (eta_new - eta) *
+    slope``, with eta_new = max(event eta, eta), replays beta bit for bit.
+    The one exception is a grouped value landing exactly on zero, whose
+    sign bit the replay cannot know: the recorder stores such a switch as a
+    knot too, sharing its slope array.  ``knot_at[k]`` is the number of
+    events applied when knot k was taken and ``knot_eta[k]`` the state's
+    eta then.
+
+    A segment ends at each event that moves eta past the segment's start
+    (coincident and absorbed events end none), and its start value is beta
+    after every event before its ending event.  ``len`` and ``starts``
+    need no replay; indexing replays from the nearest knot and iteration
+    in order.  Only the segment built last is kept, so the path stays
+    compact however much of it was read.
+    """
+
+    def __init__(self, events, knot_at, knot_eta, betas, slopes):
+        self._events = events
+        self._at, self._eta, self._betas, self._slopes = knot_at, knot_eta, betas, slopes
+        for a in (*betas, *slopes):
+            a.flags.writeable = False
+        self.starts = array("d")
+        self._ends = array("q")
+        eta = 0.0
+        for j, event in enumerate(events):
+            if event.eta > eta:
+                self.starts.append(eta)
+                self._ends.append(j)
+                eta = event.eta
+        # the segment built last, as (index, segment): reading a segment
+        # and then evaluating the path inside it replays once
+        self._last = (-1, None)
+
+    def __len__(self) -> int:
+        return len(self._ends)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self._ends))))
+        end = self._ends[i]  # negative and out-of-range i as for a tuple
+        if i < 0:
+            i += len(self._ends)
+        last = self._last
+        if last[0] == i:
+            return last[1]
+        k = bisect.bisect_right(self._at, end) - 1
+        beta = self._betas[k]
+        if self._at[k] < end:
+            beta = self._replay(k, beta, self._eta[k], self._at[k], end)[0]
+        return self._segment(i, end, k, beta)
+
+    def __iter__(self) -> Iterator[PathSegment]:
+        k = -1
+        for i, end in enumerate(self._ends):
+            knot = bisect.bisect_right(self._at, end) - 1
+            if knot != k:
+                k, done, beta, eta = knot, self._at[knot], self._betas[knot], self._eta[knot]
+            if done < end:
+                beta, eta = self._replay(k, beta, eta, done, end)
+                done = end
+            yield self._segment(i, end, k, beta)
+
+    def _replay(self, k: int, beta: np.ndarray, eta: float, done: int,
+                upto: int) -> tuple[np.ndarray, float]:
+        """(beta, eta) after ``upto`` events from their values after
+        ``done``, every event between being a switch after knot k: the
+        engine's advance step, in its order."""
+        slope = self._slopes[k]
+        for j in range(done, upto):
+            t = self._events[j].eta
+            if t < eta:
+                t = eta  # absorbed at the current position
+            beta = beta + (t - eta) * slope
+            eta = t
+        return beta, eta
+
+    def _segment(self, i: int, end: int, k: int, beta: np.ndarray) -> PathSegment:
+        event = self._events[end]
+        seg = PathSegment._unchecked(self.starts[i], event.eta, beta, self._slopes[k], event)
+        self._last = (i, seg)
+        return seg
+
 
 @dataclass(frozen=True)
 class SolutionPath:
-    """Ordered segments and events covering eta in [0, eta_max)."""
+    """Ordered segments and events covering eta in [0, eta_max).
 
-    segments: tuple[PathSegment, ...]
+    ``segments`` is a tuple for a path built from segments (:func:`load_path`)
+    and a :class:`KnotSegments` view for a traced one: the same segments,
+    byte for byte, with beta stored once per knot instead of once per event.
+    ``len(path.segments)`` is cheap there, and each indexed segment is
+    replayed from its nearest knot (the one built last is kept)."""
+
+    segments: Sequence[PathSegment]
     events: tuple[PathEvent, ...]
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         # segment starts for the binary search in eval_path, built once
-        object.__setattr__(self, "_starts", [seg.eta_start for seg in self.segments])
+        starts = self.segments.starts if isinstance(self.segments, KnotSegments) \
+            else [seg.eta_start for seg in self.segments]
+        object.__setattr__(self, "_starts", starts)
 
     @property
     def eta_end(self) -> float:
@@ -269,12 +384,15 @@ def check_instance_data(instance: ProblemInstance) -> None:
 def validate_instance(instance: ProblemInstance) -> ProblemInstance:
     """Check finiteness, shape, and invertibility of the ridge-adjusted Gram.
 
-    Returns the instance with ``effective_rank`` recorded on it; raises
-    :class:`NonFiniteError` or :class:`SingularGramError` otherwise.
+    Returns the instance with ``effective_rank`` and the plain, read-only
+    Gram ``gram`` = X^T X recorded on it, which the path engine reads
+    instead of forming its own; raises :class:`NonFiniteError` or
+    :class:`SingularGramError` otherwise.
     """
     check_instance_data(instance)
     X, p = instance.X, instance.p
-    gram = X.T @ X + instance.ridge * np.eye(p)
+    plain = X.T @ X
+    gram = plain + instance.ridge * np.eye(p)
     eigvals = np.linalg.eigvalsh(gram)
     tol = SINGULARITY_RTOL * max(float(np.max(np.diag(gram))), 1e-300)
     if eigvals[0] < tol:
@@ -283,6 +401,8 @@ def validate_instance(instance: ProblemInstance) -> ProblemInstance:
             f"{eigvals[0]:.3e} below {tol:.3e}); set ridge > 0 to proceed"
         )
     object.__setattr__(instance, "effective_rank", int(np.sum(eigvals > tol)))
+    plain.flags.writeable = False
+    object.__setattr__(instance, "gram", plain)
     return instance
 
 
@@ -440,7 +560,7 @@ def eval_path(path: SolutionPath, eta: float) -> np.ndarray:
     At a breakpoint the right segment's value is returned (equal to the
     left limit by continuity).
     """
-    if not path.segments:
+    if not path._starts:
         raise OutOfRangeError("path has no segments")
     if not eta >= 0:  # NaN too
         raise OutOfRangeError(f"eta must be nonnegative, got {eta}")

@@ -176,9 +176,13 @@ def solve_slope(instance: ProblemInstance, weights,
     :class:`ValidationError` on misshapen data, weights or ``beta0``
     (:class:`NonFiniteError` on non-finite ones), and
     :class:`DidNotConvergeError` (carrying the best iterate) if the
-    iteration cap is hit first or the step search breaks down (a NaN
-    trial loss, or a step bound L that overflows).  Deterministic given
-    the options.
+    iteration cap is hit first, the step search breaks down (a NaN
+    trial loss, or a step bound L that overflows), or the iteration
+    stalls: a step that changes neither the iterate, the extrapolated
+    point nor L repeats forever, so a check that fails there raises at
+    once.  That happens on badly scaled data, where the rounding of the
+    gradient exceeds the stop tolerance (y = (1e100, 2e100) with
+    X = 1e100 I, say).  Deterministic given the options.
     """
     options = options or SolverOptions()
     lipschitz = _instance_lipschitz(instance)
@@ -215,6 +219,7 @@ def solve_slope(instance: ProblemInstance, weights,
 
     report = None
     for it in range(1, options.max_iterations + 1):
+        x_prev, z_prev, f_prev, L_prev = x, z, fx, L
         rz, fz = _smooth(instance, z)
         g = _gradient(z, rz)
         x_new = _prox(z - g / L, lam_step)
@@ -259,6 +264,16 @@ def solve_slope(instance: ProblemInstance, weights,
             if report.worst_magnitude <= tol:
                 return SolveResult(beta=x, report=report, iterations=it,
                                    objective=fx, objective_history=history)
+            if fx == f_prev and L == L_prev and np.array_equal(x, x_prev) \
+                    and np.array_equal(z, z_prev):
+                # the step left every input of the next one as it was: each
+                # later iterate, and so each later report, is this one
+                raise DidNotConvergeError(
+                    f"stalled at iteration {it}: the iterate is a fixed point "
+                    f"(worst violation {report.worst_magnitude:.3e} > {tol:.3e}); "
+                    "typically the gradient's rounding at the data's scale "
+                    "exceeds the stop tolerance",
+                    beta=x, report=report, iterations=it)
 
     raise DidNotConvergeError(
         f"no convergence within {options.max_iterations} iterations "

@@ -57,6 +57,10 @@ class TestSimulateAndPath:
         memo = diag["insert_memo"]
         assert f"insert memo {memo['hits']} hits / {memo['misses']} misses" in err
         assert f"{diag['clamped_timings']} clamped timings" in err
+        rebuilds = diag["rebuilds"]
+        assert sum(rebuilds.values()) == diag["fallback_refactorizations"]
+        assert f"rebuilds {rebuilds['schur']} schur / {rebuilds['probe']} probe" in err
+        assert f"{diag['stored_knots']} stored knots" in err
 
         header, *rows = events_file.read_text().strip().splitlines()
         assert header == "index,eta,kind,g,k"

@@ -992,7 +992,9 @@ class TestFallbacks:
         inst, ray = TestInsertMemo._reforming_case()
         options = PathOptions(probe_tol=0.0)
         path = run_path(inst, ray, options)
-        assert path.provenance["diagnostics"]["fallback_refactorizations"] > 0
+        diag = path.provenance["diagnostics"]
+        assert diag["fallback_refactorizations"] > 0
+        assert diag["rebuilds"] == {"schur": 0, "probe": diag["fallback_refactorizations"]}
         self._assert_same_path(path, run_path(inst, ray), inst, ray)
         # a rebuild leaves the scratch inverse itself
         state = make_state(inst, ray, options)
@@ -1027,6 +1029,7 @@ class TestFallbacks:
         path = run_path(inst, ray, PathOptions(validate_every=1))
         diag = path.provenance["diagnostics"]
         assert forced and diag["fallback_refactorizations"] == 1
+        assert diag["rebuilds"] == {"schur": 1, "probe": 0}
         assert max(err for _, err in diag["gram_checks"]) < 1e-12
         self._assert_same_path(path, reference, inst, ray)
 

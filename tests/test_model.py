@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from slopepath import (
+    EngineState,
     GroupStructure,
     PathEvent,
     PathOptions,
@@ -79,6 +80,22 @@ class TestValidateInstance:
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
             validate_instance(ProblemInstance(y=np.ones(3), X=np.eye(2)))
+
+    def test_caches_the_plain_gram(self):
+        rng = np.random.default_rng(2)
+        for n, p, ridge in ((30, 7, 0.0), (6, 9, 0.5), (200, 40, 1e-3)):
+            X = rng.standard_normal((n, p))
+            inst = validate_instance(ProblemInstance(y=rng.standard_normal(n), X=X,
+                                                     ridge=ridge))
+            assert np.array_equal(inst.gram.view(np.int64), (X.T @ X).view(np.int64))
+            assert not inst.gram.flags.writeable
+            # the engine reads the cache, and forms the same bits itself
+            # for an instance never validated
+            ray = validate_ray(np.zeros(p), np.linspace(0.5, 1.0, p))
+            assert EngineState(inst, ray, PathOptions()).G is inst.gram
+            fresh = EngineState(ProblemInstance(y=inst.y, X=X, ridge=ridge), ray,
+                                PathOptions()).G
+            assert np.array_equal(fresh.view(np.int64), inst.gram.view(np.int64))
 
 
 class TestValidateRay:

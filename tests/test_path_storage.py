@@ -1,0 +1,321 @@
+"""Knot storage of traced paths: the lazy segments of :func:`run_path` are
+byte-identical to the ones the eager recorder built, and a path holds one
+beta array per knot, not one per event."""
+
+import gc
+import json
+import math
+import tempfile
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from slopepath import (
+    EngineState,
+    PathEvent,
+    PathOptions,
+    PathSegment,
+    ProblemInstance,
+    SolutionPath,
+    WeightRay,
+    eval_path,
+    run_path,
+    save_path,
+    validate_instance,
+    validate_ray,
+)
+from slopepath.datagen import ScenarioSpec, generate
+from slopepath.weights import design_sequence
+
+STRUCTURAL = ("fuse", "split")
+
+
+def eager_run_path(instance, ray, options=None):
+    """The recorder as it was before knot storage, frozen as the oracle:
+    a PathSegment per segment, a fresh beta scattered after every event and
+    the slope re-scattered after each fuse or split.  Returns (segments,
+    events) as lists."""
+    options = options or PathOptions()
+    instance = validate_instance(instance)
+    checked = validate_ray(ray.lam0, ray.lam_bar)
+    ray = WeightRay(checked.lam0, checked.lam_bar, min(ray.eta_max, checked.eta_max))
+    state = EngineState(instance, ray, options)
+    segments, events = [], []
+    seg_eta = 0.0
+    seg_beta = state.scatter_beta()
+    seg_slope = state.scatter_slope()
+    while True:
+        t, kind, idx = state.next_event()
+        if t >= ray.eta_max or math.isinf(t):
+            end = ray.eta_max if math.isfinite(ray.eta_max) else math.inf
+            terminal = PathEvent(kind="terminate", eta=end,
+                                 nnz=state.nnz, n_groups=state.n_groups)
+            segments.append(PathSegment(seg_eta, end, seg_beta, seg_slope, terminal))
+            events.append(terminal)
+            return segments, events
+        g, k = state.step(t, kind, idx)
+        event = PathEvent(kind=kind, eta=t, g=g, k=k,
+                          nnz=state.nnz, n_groups=state.n_groups)
+        events.append(event)
+        if t > seg_eta:
+            segments.append(PathSegment(seg_eta, t, seg_beta, seg_slope, event))
+            seg_eta = t
+        seg_beta = state.scatter_beta()
+        if kind == "fuse" or kind == "split":
+            seg_slope = state.scatter_slope()
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _event_key(e):
+    return (e.kind, float(e.eta).hex(), e.g, e.k, e.nnz, e.n_groups)
+
+
+def _segment_key(s):
+    return (float(s.eta_start).hex(), float(s.eta_end).hex(), _bits(s.beta_start).tobytes(),
+            _bits(s.slope).tobytes(), _event_key(s.ending_event))
+
+
+def _shares(segments):
+    """Whether each segment shares its slope object with the next."""
+    return [a.slope is b.slope for a, b in zip(segments, segments[1:])]
+
+
+def assert_identical(path, eager, tmp_path):
+    """Every event, every segment (by iteration and by index), the slope
+    sharing, the JSONL text and eval_path at each segment start and
+    midpoint equal the eager recording, bit for bit."""
+    segments, events = eager
+    assert [_event_key(e) for e in path.events] == [_event_key(e) for e in events]
+    want = [_segment_key(s) for s in segments]
+    assert len(path.segments) == len(want)
+    iterated = list(path.segments)
+    indexed = [path.segments[i] for i in range(len(path.segments))]
+    assert [_segment_key(s) for s in iterated] == want
+    assert [_segment_key(s) for s in indexed] == want
+    assert _shares(iterated) == _shares(indexed) == _shares(segments)
+
+    reference = SolutionPath(segments=tuple(segments), events=tuple(events),
+                             provenance=path.provenance)
+    save_path(path, tmp_path / "knots.jsonl")
+    save_path(reference, tmp_path / "eager.jsonl")
+    assert (tmp_path / "knots.jsonl").read_bytes() == (tmp_path / "eager.jsonl").read_bytes()
+
+    for seg in segments:
+        mid = 0.5 * (seg.eta_start + seg.eta_end) if math.isfinite(seg.eta_end) \
+            else seg.eta_start + 1.0
+        for eta in (seg.eta_start, mid):
+            assert np.array_equal(_bits(eval_path(path, eta)), _bits(eval_path(reference, eta)))
+
+
+def _check(instance, ray, tmp_path, options=None):
+    path = run_path(instance, ray, options)
+    assert_identical(path, eager_run_path(instance, ray, options), tmp_path)
+    return path
+
+
+_PINNED = json.loads((Path(__file__).with_name("pinned_paths.json")).read_text())
+
+
+@st.composite
+def _corpus_cases(draw):
+    """Integer designs with exact ties (p > n included), scenario
+    instances under bh q = 1 and oscar q = 0 (zero first weights), a
+    nonzero lam0, a finite eta_max clip, and ridge with p > n."""
+    family = draw(st.sampled_from(["integer", "zero_first", "lam0", "clip", "wide_ridge"]))
+    if family == "integer":
+        n, p = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+        entry = st.integers(-2, 2)
+        X = np.array(draw(st.lists(st.lists(entry, min_size=p, max_size=p),
+                                   min_size=n, max_size=n)), dtype=float)
+        y = np.array(draw(st.lists(entry, min_size=n, max_size=n)), dtype=float)
+        lam_bar = np.sort(draw(st.lists(st.integers(0, 3), min_size=p, max_size=p)))
+        lam_bar[-1] = max(lam_bar[-1], 1)
+        inst = ProblemInstance(y=y, X=X, ridge=draw(st.sampled_from([0.25, 0.5])))
+        return inst, validate_ray(np.zeros(p), lam_bar.astype(float))
+    seed = draw(st.integers(0, 999))
+    if family == "wide_ridge":
+        p = draw(st.integers(6, 16))
+        base, _ = generate(ScenarioSpec(scenario=2, p=p, n=p // 2, seed=seed))
+        inst = ProblemInstance(y=base.y, X=base.X, ridge=draw(st.sampled_from([0.1, 0.5])))
+        design, q = draw(st.sampled_from([("bh", 0.1), ("qs", None)]))
+        return inst, validate_ray(np.zeros(p), design_sequence(design, p, q=q, n=p // 2))
+    p = 2 * draw(st.integers(2, 6))
+    inst, _ = generate(ScenarioSpec(scenario=1, p=p, n=3 * p, seed=seed))
+    if family == "zero_first":
+        design, q = draw(st.sampled_from([("bh", 1.0), ("oscar", 0.0)]))
+        return inst, validate_ray(np.zeros(p), design_sequence(design, p, q=q, n=3 * p))
+    lam_bar = design_sequence(draw(st.sampled_from(["bh", "gauss", "qs"])), p, q=0.1, n=3 * p)
+    if family == "clip":
+        return inst, WeightRay(np.zeros(p), lam_bar, draw(st.floats(0.01, 5.0)))
+    lam0 = np.sort(draw(st.lists(st.floats(0.0, 2.0), min_size=p, max_size=p)))
+    lam0[-1] = max(lam0[-1], 0.5)
+    return inst, WeightRay(lam0, lam_bar, draw(st.sampled_from([math.inf, 20.0])))
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("case", _PINNED,
+                             ids=[f"s{c['scenario']}-p{c['p']}-{c['design']}" for c in _PINNED])
+    def test_pinned_paths(self, case, tmp_path):
+        inst, _ = generate(ScenarioSpec(scenario=case["scenario"], p=case["p"],
+                                        n=case["n"], seed=case["seed"]))
+        lam = design_sequence(case["design"], case["p"], q=case["q"], n=case["n"])
+        _check(inst, validate_ray(np.zeros(case["p"]), lam), tmp_path)
+
+    def test_coincident_events(self, tmp_path):
+        # both coordinates die at eta = 1: the second death ends no segment
+        inst = ProblemInstance(y=np.array([2.0, 1.0]), X=np.eye(2))
+        path = _check(inst, validate_ray(np.zeros(2), np.array([1.0, 2.0])), tmp_path)
+        assert [e.eta for e in path.events[:2]] == [1.0, 1.0]
+
+    def test_absorbed_events(self, tmp_path):
+        inst = ProblemInstance(y=np.array([-1.0, -3.0, 3.0]),
+                               X=np.array([[0, 1, -1], [-2, 1, 0], [-1, 0, 0]], dtype=float),
+                               ridge=0.5)
+        path = _check(inst, validate_ray(np.zeros(3), np.array([1.0, 2.0, 3.0])), tmp_path)
+        assert path.provenance["diagnostics"]["absorbed_events"] >= 1
+
+    def test_validated_gram_checks(self, tmp_path):
+        inst, _ = generate(ScenarioSpec(scenario=1, p=12, n=36, seed=0))
+        ray = validate_ray(np.zeros(12), design_sequence("qs", 12))
+        _check(inst, ray, tmp_path, PathOptions(validate_every=3))
+
+    @given(_corpus_cases())
+    def test_corpus(self, case):
+        with tempfile.TemporaryDirectory() as tmp:
+            _check(*case, Path(tmp))
+
+
+class TestKnotSegments:
+    @staticmethod
+    def _path():
+        inst, _ = generate(ScenarioSpec(scenario=1, p=10, n=50, seed=4))
+        return run_path(inst, validate_ray(np.zeros(10), design_sequence("bh", 10, q=0.1)))
+
+    def test_sequence_protocol(self):
+        path = self._path()
+        segs = path.segments
+        built = list(segs)
+        n = len(segs)
+        assert n == len(built) > 20
+        keys = [_segment_key(s) for s in built]
+        for i in (-1, -2, -n, 0, n - 1):
+            assert _segment_key(segs[i]) == keys[i]
+        for cut in (slice(None), slice(3, 9), slice(-5, None), slice(None, None, -3),
+                    slice(2, -2, 4), slice(n + 5, None)):
+            assert [_segment_key(s) for s in segs[cut]] == keys[cut]
+        assert isinstance(segs[1:4], tuple)
+        assert [_segment_key(s) for s in reversed(segs)] == keys[::-1]
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                segs[bad]
+        assert path.eta_end == built[-1].eta_end
+
+    def test_switches_share_the_slope(self):
+        path = self._path()
+        shared = 0
+        built = list(path.segments)
+        position = {id(e): j for j, e in enumerate(path.events)}
+        ends = [position[id(s.ending_event)] for s in built]
+        for i, (a, b) in enumerate(zip(built, built[1:])):
+            kinds = {e.kind for e in path.events[ends[i]:ends[i + 1]]}
+            if not kinds & set(STRUCTURAL):
+                assert a.slope is b.slope
+                shared += 1
+        assert shared > 0
+
+    def test_stored_arrays_are_read_only(self):
+        seg = self._path().segments[0]
+        with pytest.raises(ValueError):
+            seg.slope[0] = 1.0
+        with pytest.raises(ValueError):
+            seg.beta_start[0] = 1.0
+
+    def test_length_and_starts_build_no_segment(self, monkeypatch):
+        path = self._path()
+
+        def fail(*args):
+            raise AssertionError("a segment was built")
+
+        monkeypatch.setattr(type(path.segments), "_segment", fail)
+        assert len(path.segments) == len(path._starts) > 20
+        assert list(path._starts) == sorted(path._starts)
+
+
+class TestZeroLevelKnots:
+    def test_replay_misses_only_the_sign_of_an_exact_zero(self):
+        # the engine scatters -s * (L + d * S); the replay adds the scattered
+        # -s * L and d * (-s * S), the same bits unless the sum is zero
+        rng = np.random.default_rng(0)
+        L, S = rng.standard_normal(1000), rng.standard_normal(1000)
+        d = rng.uniform(0.0, 1.0, 1000)
+        for sign in (1.0, -1.0):
+            assert np.array_equal(_bits(sign * (L + d * S)), _bits(sign * L + d * (sign * S)))
+        engine = -1.0 * (1.0 + 0.5 * -2.0)
+        replay = -1.0 * 1.0 + 0.5 * (-1.0 * -2.0)
+        assert engine == replay == 0.0 and _bits(engine) != _bits(replay)
+
+    def test_switch_landing_on_zero_is_a_knot(self, monkeypatch, tmp_path):
+        inst, _ = generate(ScenarioSpec(scenario=1, p=10, n=50, seed=4))
+        ray = validate_ray(np.zeros(10), design_sequence("bh", 10, q=0.1))
+        switch = EngineState.apply_switch
+        planted = []
+
+        def landing(state, k):
+            # once per run, the first switch leaves a grouped value on an
+            # exact zero, in a group of negative coefficients if there is one
+            switch(state, k)
+            if state not in planted and state.n_groups:
+                j = int(np.argmax([state.s[state.order[a]] for a in state.starts[:-1]]))
+                state.levels = state.levels.copy()
+                state.levels[j] = 0.0
+                planted.append(state)
+
+        monkeypatch.setattr(EngineState, "apply_switch", landing)
+        path = _check(inst, ray, tmp_path)
+        structural = sum(e.kind in STRUCTURAL for e in path.events)
+        assert len(planted) == 2
+        assert path.provenance["diagnostics"]["stored_knots"] > 1 + structural
+
+
+class TestRetainedMemory:
+    def test_one_beta_per_knot(self):
+        p = 60
+        inst, _ = generate(ScenarioSpec(scenario=1, p=p, n=10 * p, seed=0))
+        ray = validate_ray(np.zeros(p), design_sequence("bh", p, q=0.1))
+        validate_instance(inst)
+
+        def retained(trace):
+            gc.collect()
+            tracemalloc.start()
+            before = tracemalloc.get_traced_memory()[0]
+            kept = trace()
+            gc.collect()
+            after = tracemalloc.get_traced_memory()[0]
+            tracemalloc.stop()
+            return kept, after - before
+
+        path, knots_bytes = retained(lambda: run_path(inst, ray))
+        _, eager_bytes = retained(lambda: eager_run_path(inst, ray))
+        events = len(path.events)
+        knots = path.provenance["diagnostics"]["stored_knots"]
+        vector = 8 * p
+        assert knots < 0.75 * events
+        # the eager recorder keeps a beta per event and a slope per knot,
+        # knots keep both per knot: the path holds events - knots fewer
+        # vectors, and a few small objects per event besides
+        assert eager_bytes >= vector * (events + knots)
+        assert knots_bytes <= vector * 2 * knots + 600 * events + 100_000
+        assert knots_bytes <= eager_bytes - vector * (events - knots)
+
+        def walk():
+            for seg in path.segments:
+                eval_path(path, seg.eta_start)
+
+        # reading every segment keeps at most the one built last
+        assert retained(walk)[1] <= 2 * vector + 1_000

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -189,6 +191,22 @@ class TestSolverInputChecks:
         assert info.value.beta.tolist() == [0.0, 0.0]
         assert info.value.iterations == 1
         assert "step search broke down" in str(info.value)
+
+    @pytest.mark.parametrize("step_rule", ["power", "backtracking"])
+    @pytest.mark.parametrize("scale", [1e100, 1e10])
+    def test_badly_scaled_data_stalls_fast(self, step_rule, scale):
+        # the optimum sits within rounding of (1, 2), where the gradient is
+        # exactly zero: the iterate stops moving long before the cap, and
+        # the solver says so at the first check after it stopped
+        inst = ProblemInstance(y=(scale, 2.0 * scale), X=np.diag([scale, scale]))
+        start = time.perf_counter()
+        with np.errstate(all="ignore"), pytest.raises(DidNotConvergeError) as info:
+            solve_slope(inst, (0.0, 1.0), SolverOptions(step_rule=step_rule))
+        assert time.perf_counter() - start < 0.5
+        assert "stalled" in str(info.value)
+        assert info.value.beta.tolist() == [1.0, 2.0]
+        assert info.value.iterations <= 100
+        assert info.value.report.worst_magnitude == 1.0
 
     def test_lipschitz_estimate_is_computed_once_per_instance(self, monkeypatch):
         inst = self._instance(X=np.array([[2.0, 0.5, 0.0], [0.0, 1.0, 0.3], [0.1, 0.0, 1.5]]))
