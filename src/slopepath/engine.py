@@ -23,10 +23,17 @@ values colliding (fuse, including a group hitting zero), a grouped
 inequality margin reaching zero (split, including activations out of the
 zero group), and the within-group gradient order or the leading
 zero-coordinate gradient sign changing (switches).  Event times are
-absolute eta values; each family has one timing formula and violation
-check, indexed by a slice when ``refresh`` times every position and by an
-int when a switch re-times the few it invalidates, in scalar arithmetic
-with the full kernel's bits; the snap-to-now rule has one scalar twin.
+absolute eta values.
+
+A value and its eta-rate travel as the two columns of one (k, 2) array
+(levels and slopes, the gradient and its rate, their suffix sums), and a
+family's (value, rate) is the difference of two such pairs.  Each family
+has one formula and violation check; the switch and split ones take an
+int, in Python floats, when a switch re-times the few positions it
+invalidates, or a slice, in arrays.  ``refresh`` writes all three families
+into one buffer and times them with one masked divide.  The snap-to-now
+rule has one scalar twin.
+
 A fuse or split is one structural edit, and the one candidate that would
 undo it at once, members and signs alike (a floating-point bounce), is
 blanked; under zero weights a dying coordinate may cross zero and
@@ -89,7 +96,9 @@ class PathOptions:
     ``negative_margin_rtol`` is how far a quantity that must stay
     nonnegative (a suffix margin, or the gradient gap between within-group
     neighbours) may sit below zero, relative to its scale, before the state
-    is declared broken.
+    is declared broken.  ``iteration_cap`` must be None or at least 1,
+    ``validate_every`` at least 0 and every tolerance finite and at least
+    0; anything else raises :class:`ValidationError`.
     """
 
     iteration_cap: int | None = None
@@ -99,6 +108,18 @@ class PathOptions:
     negative_margin_rtol: float = 1e-7
     group_tol_scale: float = 1e-7
     probe_tol: float = 1e-6
+
+    def __post_init__(self):
+        cap = self.iteration_cap
+        if cap is not None and not cap >= 1:  # NaN too
+            raise ValidationError(f"iteration_cap must be None or at least 1, got {cap!r}")
+        if not self.validate_every >= 0:
+            raise ValidationError(f"validate_every must be at least 0, got {self.validate_every!r}")
+        for name in ("timing_clamp", "tie_rtol", "negative_margin_rtol", "group_tol_scale",
+                     "probe_tol"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be finite and at least 0, "
+                                      f"got {getattr(self, name)!r}")
 
 
 def _group_ydot(Xty: np.ndarray, signs: np.ndarray, members: np.ndarray) -> float:
@@ -227,7 +248,14 @@ class EngineState:
         self.min_schur_ratio: float | None = None
         self.cum0 = _prefix_sums(ray.lam0)
         self.cumbar = _prefix_sums(ray.lam_bar)
-        self._cumbar_absmax = np.abs(self.cumbar).max()
+        # the same, paired as the two columns of one array
+        self._cum = np.column_stack((self.cum0, self.cumbar))
+        self._cum0_total = self.cum0.item(-1)
+        self._cumbar_absmax = float(np.abs(self.cumbar).max())
+        # at or above every margin's violation floor: their scale is at
+        # least 1 + sum(lam0) (:meth:`_margin_scale`), and at least 1 for a
+        # ray that validate_ray accepts
+        self._margin_floor = -options.negative_margin_rtol * min(1.0, 1.0 + self._cum0_total)
 
         self.eta = 0.0
         tol = options.group_tol_scale * (1.0 + float(np.max(np.abs(beta0), initial=0.0)))
@@ -262,7 +290,7 @@ class EngineState:
 
     @property
     def zero_count(self) -> int:
-        return int(self.starts[0])
+        return self.starts.item(0)
 
     @property
     def nnz(self) -> int:
@@ -275,12 +303,12 @@ class EngineState:
 
     def group_of_position(self, pos: int) -> int:
         """Nonzero group index for a position, -1 for the zero group."""
-        return int(np.searchsorted(self.starts, pos, side="right")) - 1
+        return int(self.starts.searchsorted(pos, side="right")) - 1
 
     def slice_of_group(self, j: int) -> tuple[int, int]:
         if j < 0:
-            return 0, int(self.starts[0])
-        return int(self.starts[j]), int(self.starts[j + 1])
+            return 0, self.starts.item(0)
+        return self.starts.item(j), self.starts.item(j + 1)
 
     def split_label(self, pos: int) -> tuple[int, int]:
         """Grouped (g, k) label of the split at suffix position ``pos``."""
@@ -303,9 +331,9 @@ class EngineState:
         return XGty, np.linalg.inv(A)
 
     def _group_sums(self, w: np.ndarray) -> np.ndarray:
-        """S^T w: the signed per-group sums of a coefficient-space vector."""
-        o = self.order
-        return np.add.reduceat(-self.s[o] * w[o], self.starts[:-1])
+        """S^T w: the signed per-group sums of a coefficient-space vector,
+        with -s[order] as :meth:`_restructure` formed it."""
+        return np.add.reduceat(self._neg_so * w.take(self.order), self.starts[:-1])
 
     def _probe_inverse(self) -> None:
         """Rebuild XGty and Ainv from scratch if a bordered insert left Ainv
@@ -318,8 +346,9 @@ class EngineState:
         if self.Ainv is not None:
             cause = "probe"
             j = self.n_events % m
-            members = self.order[self.starts[j]:self.starts[j + 1]]
-            col = self._group_sums(self.G[members].T @ -self.s[members])
+            a, b = self.starts[j], self.starts[j + 1]
+            members = self.order[a:b]
+            col = self._group_sums(self.G.take(members, axis=0).T @ self._neg_so[a:b])
             col[j] += self.ridge * members.size
             resid = self.Ainv @ col
             resid[j] -= 1.0
@@ -341,6 +370,8 @@ class EngineState:
             self.Ainv = _inv_delete(self.Ainv, j)
         n_new = n_old + starts.size - self.starts.size
         self.starts = starts
+        # the order and the signs hold still until the edit is done
+        self._neg_so = -self.s[self.order]
         new = [_group_ydot(self.Xty, self.s, self.order[starts[k]:starts[k + 1]])
                for k in range(first, first + n_new)]
         self.XGty = np.concatenate((self.XGty[:first], new, self.XGty[first + n_old:]))
@@ -394,12 +425,12 @@ class EngineState:
         hit = self._cross[key] = (self.X.T @ col, float(col @ col))
         return hit
 
-    def _gram_times(self, at_nonzero: np.ndarray) -> np.ndarray:
+    def _gram_times(self, at_nonzero: np.ndarray, neg_s: np.ndarray) -> np.ndarray:
         """G times the coefficient-space vector of each column of
         ``at_nonzero`` (its group's value at each nonzero position), reading
-        G only on the nonzero coordinates: O(p * nnz) per column."""
-        nz = self.order[self.zero_count:]
-        return self.G[nz].T @ (-self.s[nz][:, None] * at_nonzero)
+        G only on the nonzero coordinates: O(p * nnz) per column.  ``neg_s``
+        is -s at the nonzero positions, as a column."""
+        return self.G.take(self.order[self.zero_count:], axis=0).T @ (neg_s * at_nonzero)
 
     def scratch_check(self) -> float:
         """Relative Frobenius error of the cached inverse against a fresh
@@ -411,46 +442,60 @@ class EngineState:
     # -- full refresh: closed-form state and every event timing --
 
     def refresh(self) -> None:
-        starts = self.starts
+        starts, o, p = self.starts, self.order, self.p
         lam0g, lambarg = _grouped_weight_sums(self.cum0, self.cumbar, starts)
-        self.levels = self.Ainv @ (self.XGty - lam0g - self.eta * lambarg)
-        self.slopeG = -(self.Ainv @ lambarg)
-
-        # (level, slope) per group, the zero group's first, and per position
-        grouped = np.zeros((starts.size, 2))
-        grouped[1:, 0] = self.levels
-        grouped[1:, 1] = self.slopeG
+        # from here a value and its eta-rate are the two columns of one
+        # array: (level, slope) per group, the zero group's first, and per
+        # nonzero position
+        grouped = self._grouped = np.zeros((starts.size, 2))
+        grouped[1:, 0] = self.levels = self.Ainv @ (self.XGty - lam0g - self.eta * lambarg)
+        self.slopeG = np.negative(self.Ainv @ lambarg, out=grouped[1:, 1])
         sizes = starts.copy()
         sizes[1:] -= starts[:-1]
-        at_pos = grouped.repeat(sizes, axis=0)
+        z = starts.item(0)
+        at_nz = grouped[1:].repeat(sizes[1:], axis=0)
 
-        o = self.order
-        cd = self._gram_times(at_pos[starts[0]:])
-        c = self.Xty - cd[:, 0]
-        so = self.s[o]
-        # the ridge enters here only: G is the plain X^T X
-        self.sgrad_val = -so * c[o] - self.ridge * at_pos[:, 0]
-        self.sgrad_rate = so * cd[:, 1][o] - self.ridge * at_pos[:, 1]
+        # (-s c, s d) per position, with c = Xty - G beta and d = G slope
+        so = self.s.take(o)
+        neg_so = -so
+        sg = self._gram_times(at_nz, neg_so[z:, None]).take(o, axis=0)
+        np.subtract(self.Xty.take(o), sg[:, 0], out=sg[:, 0])
+        sg[:, 0] *= neg_so
+        sg[:, 1] *= so
+        # the ridge enters here only: G is the plain X^T X (zero positions
+        # would subtract +0, which leaves every value as it is)
+        sg[z:] -= self.ridge * at_nz
+        self._sg, self.sgrad_val, self.sgrad_rate = sg, sg[:, 0], sg[:, 1]
 
         self.eta_ref = self.eta
         ends = self._slice_end = starts.repeat(sizes)
         # position constants until the next structural event: which pairs
         # share a group, which suffixes are margins (one starting a nonzero
-        # group is its equality), and the weight suffix sums at eta_ref
-        self._same_group = ends[:-1] == ends[1:]
-        self._split_ok = np.ones(self.p, dtype=bool)
+        # group is its equality), and the weight suffix sums at eta_ref;
+        # keep[m:] holds the first two, as _recompute_all_times lays out
+        m = starts.size - 1
+        keep = self._keep = np.empty(m + 2 * p - 1, dtype=bool)
+        keep.fill(True)
+        self._same_group = np.equal(ends[:-1], ends[1:], out=keep[m:m + p - 1])
+        self._split_ok = keep[m + p - 1:]
         self._split_ok[starts[:-1]] = False
-        self._lam_suf_rate = self.cumbar[ends] - self.cumbar[:-1]
-        self._lam_suf_ref = (self.cum0[ends] - self.cum0[:-1]) \
-            + self.eta_ref * self._lam_suf_rate
-        self.suf_val = _suffix_within(self.sgrad_val, ends)
-        self.suf_rate = _suffix_within(self.sgrad_rate, ends)
+        lam = self._lam_suf = self._cum.take(ends, axis=0)
+        lam -= self._cum[:-1]
+        lam[:, 0] += self.eta_ref * lam[:, 1]
+        # per-position suffix sums within each slice: accumulate runs down
+        # each column in turn, so each carries the bits of a 1-d cumsum
+        total = np.zeros((p + 1, 2))
+        np.add.accumulate(sg[::-1], axis=0, out=total[-2::-1])
+        self._suf = total[:-1] - total.take(ends, axis=0)
 
-        # the scale of the margins' violation check
-        self._mscale = 1.0 + float(self.cum0[-1] + abs(self.eta) * self._cumbar_absmax) \
-            + float(np.abs(self.sgrad_val).max(initial=0.0))
         self._recompute_all_times()
         self._apply_suppressions()
+
+    def _margin_scale(self) -> float:
+        """The scale of the margins' violation check, fixed at eta_ref: a
+        switch swaps or negates gradient values, which leaves it as it was."""
+        return 1.0 + (self._cum0_total + abs(self.eta_ref) * self._cumbar_absmax) \
+            + float(np.abs(self.sgrad_val).max(initial=0.0))
 
     # -- event times --
 
@@ -459,11 +504,14 @@ class EngineState:
         where ``keep`` holds: inf unless the rate is negative; a negative
         value (already past zero) and waits up to ``timing_clamp`` snap to
         now, and are counted in ``n_clamped``."""
-        dt = np.full(value.shape, math.inf)
+        dt = np.empty(value.shape)
+        dt.fill(math.inf)
         np.divide(value, -rate, out=dt, where=keep & (rate < 0))
         snap = dt <= self.options.timing_clamp
-        dt[snap] = 0.0
-        self.n_clamped += int(np.count_nonzero(snap))
+        n_snap = int(np.count_nonzero(snap))
+        if n_snap:
+            dt[snap] = 0.0
+            self.n_clamped += n_snap
         dt += self.eta
         return dt
 
@@ -478,53 +526,73 @@ class EngineState:
         return dt + self.eta
 
     def _recompute_all_times(self) -> None:
-        # fuse: group j colliding with the level below it (zero for j = 0); a gap
-        # below -level_tol breaks the structure, event-instant ties clip to zero
-        levels, slope = self.levels, self.slopeG
-        gap = levels - np.concatenate(([0.0], levels[:-1]))
-        level_tol = 1e-9 * (1.0 + float(levels.max(initial=0.0)))
-        if _any(gap < -level_tol):
-            raise StructureInvariantBrokenError(
-                f"group values not strictly ordered at eta={self.eta!r}: {levels}"
-            )
-        rate = slope - np.concatenate(([0.0], slope[:-1]))
-        # the switch times check the within-group gradient order of every
-        # pair, before the split times check the margins; the three
-        # families are timed in one pass and held as views of one array
-        m, p = gap.size, self.p
-        families = ((gap, rate, np.ones(m, dtype=bool)),
-                    self._order_gaps(slice(0, p - 1), slice(1, p)),
-                    self._split_margins(slice(None)))
-        times = self._time_to_zero(*(np.concatenate(parts) for parts in zip(*families)))
+        """Time every fuse, order switch and split at eta_ref in one (F, 2)
+        buffer, F = m + 2p - 1: fuses at [0, m), order switches at
+        [m, m + p - 1), splits after, and ``_keep`` alike.  At eta_ref the
+        (eta - eta_ref) * rate term of the family formulas is an exact +-0
+        and is left out: it could only flip the sign of a zero, which snaps
+        to now either way."""
+        grouped, sg, keep = self._grouped, self._sg, self._keep
+        m, p = grouped.shape[0] - 1, self.p
+        vr = np.empty((keep.size, 2))
+        np.subtract(grouped[1:], grouped[:-1], out=vr[:m])
+        np.subtract(sg[1:], sg[:-1], out=vr[m:m + p - 1])
+        np.subtract(self._lam_suf, self._suf, out=vr[m + p - 1:])
+        value = vr[:, 0]
+        # every floor of the three checks lies at or below -1e-9 (fuses) or
+        # _margin_floor (order gaps and margins): past the larger, the
+        # family checks decide, in the order fuse, within-group order, margins
+        suspect = value < max(-1e-9, self._margin_floor)
+        suspect &= keep
+        if _any(suspect):
+            # fuse: group j below the level under it (zero for j = 0) by more
+            # than level_tol breaks the structure; event-instant ties clip to zero
+            level_tol = 1e-9 * (1.0 + float(self.levels.max(initial=0.0)))
+            if _any(value[:m] < -level_tol):
+                raise StructureInvariantBrokenError(
+                    f"group values not strictly ordered at eta={self.eta!r}: {self.levels}"
+                )
+            self._order_gaps(slice(0, p - 1), slice(1, p))
+            self._split_margins(slice(None))
+        times = self._time_to_zero(value, vr[:, 1], keep)
         self.fuse_t, self.switch_t, self.split_t = times[:m], times[m:m + p - 1], times[m + p - 1:]
         self.sign_t = self._sign_time()
 
     def _split_margins(self, i: int | slice) -> tuple:
         """(margin now, its eta-rate, is a margin) of the suffixes at
-        positions ``i``, an int or a slice; raises if one is violated."""
-        rate = self._lam_suf_rate[i] - self.suf_rate[i]
-        now = (self._lam_suf_ref[i] - self.suf_val[i]) + (self.eta - self.eta_ref) * rate
-        ok = self._split_ok[i]
-        bad = ok & (now < -self.options.negative_margin_rtol * self._mscale)
+        positions ``i``: Python floats for an int, arrays for a slice;
+        raises if one is violated."""
+        lam_ref, lam_rate = _pair(self._lam_suf, i)
+        suf_val, suf_rate = _pair(self._suf, i)
+        rate = lam_rate - suf_rate
+        now = (lam_ref - suf_val) + (self.eta - self.eta_ref) * rate
+        ok = _entry(self._split_ok, i)
+        # the scale is formed only for a margin past the bound on its floor
+        bad = ok & (now < self._margin_floor)
         if _any(bad):
-            worst = int(np.argmin(now[bad]))
+            bad = ok & (now < -self.options.negative_margin_rtol * self._margin_scale())
+        if _any(bad):
+            now, pos = _selected(now, bad), _selected(np.arange(self.p)[i], bad)
+            worst = int(np.argmin(now))
             raise NegativeTimingError(
-                f"optimality margin {now[bad][worst]:.3e} already violated at "
-                f"eta={self.eta!r} (suffix position {np.arange(self.p)[i][bad][worst]})"
+                f"optimality margin {now[worst]:.3e} already violated at "
+                f"eta={self.eta!r} (suffix position {pos[worst]})"
             )
         return now, rate, ok
 
     def _order_gaps(self, k: int | slice, k1: int | slice) -> tuple:
         """(gradient gap now, its eta-rate, same group) of the pairs at ``k``
-        and ``k1`` = k + 1, ints or slices; raises if one is out of order."""
-        val, rate_all = self.sgrad_val, self.sgrad_rate
-        rate = rate_all[k1] - rate_all[k]
-        now = (val[k1] - val[k]) + (self.eta - self.eta_ref) * rate
-        same = self._same_group[k]
-        floor = -self.options.negative_margin_rtol * (1.0 + abs(val[k]) + abs(val[k1]))
+        and ``k1`` = k + 1, ints (Python floats out) or slices (arrays
+        out); raises if one is out of order."""
+        val_k, rate_k = _pair(self._sg, k)
+        val_k1, rate_k1 = _pair(self._sg, k1)
+        rate = rate_k1 - rate_k
+        now = (val_k1 - val_k) + (self.eta - self.eta_ref) * rate
+        same = _entry(self._same_group, k)
+        floor = -self.options.negative_margin_rtol * (1.0 + abs(val_k) + abs(val_k1))
         bad = same & (now < floor)
         if _any(bad):
-            first = int(np.arange(self.p)[k][bad][0])
+            first = int(_selected(np.arange(self.p)[k], bad)[0])
             raise StructureInvariantBrokenError(
                 f"gradient order already inverted at positions {first},{first + 1}"
             )
@@ -534,9 +602,8 @@ class EngineState:
         """Time at which the leading zero coordinate's gradient hits zero."""
         if self.zero_count == 0:
             return math.inf
-        rate = self.sgrad_rate[0]
-        return float(self._time_to_zero_at(
-            self.sgrad_val[0] + (self.eta - self.eta_ref) * rate, rate, True))
+        val, rate = _pair(self._sg, 0)
+        return self._time_to_zero_at(val + (self.eta - self.eta_ref) * rate, rate, True)
 
     def _apply_suppressions(self) -> None:
         """Blank the one candidate that would exactly undo the structural
@@ -555,9 +622,9 @@ class EngineState:
         kind, idx, members, signs = self._undo
         self._undo = None
         window = self.eta + max(self.options.timing_clamp,
-                                4.0 * np.spacing(abs(self.eta) + 1.0))
+                                4.0 * math.ulp(abs(self.eta) + 1.0))
         times = self.fuse_t if kind == "split" else self.split_t
-        undo = times[idx] <= window
+        undo = times.item(idx) <= window
         if kind != "split":
             end = self._slice_end[idx]
             undo = undo and np.array_equal(np.sort(self.order[idx:end]), members) \
@@ -575,20 +642,20 @@ class EngineState:
         fuse > sign switch > order switch > split, each class taking its
         smallest index.
         """
-        t_fuse, t_switch, t_split = (float(t[t.argmin()]) if t.size else math.inf
-                                     for t in (self.fuse_t, self.switch_t, self.split_t))
+        (t_fuse, i_fuse), (t_switch, i_switch), (t_split, i_split) = (
+            _earliest(self.fuse_t), _earliest(self.switch_t), _earliest(self.split_t))
         t_sign = self.sign_t
         t_min = min(t_fuse, t_sign, t_switch, t_split)
         if math.isinf(t_min):
             return math.inf, "none", -1
         window = t_min + self.options.tie_rtol * max(1.0, abs(t_min))
         if t_fuse <= window:
-            return t_fuse, "fuse", int(self.fuse_t.argmin())
+            return t_fuse, "fuse", i_fuse
         if t_sign <= window:
             return t_sign, "switch_sign", 0
         if t_switch <= window:
-            return t_switch, "switch_order", int(self.switch_t.argmin())
-        return t_split, "split", int(self.split_t.argmin())
+            return t_switch, "switch_order", i_switch
+        return t_split, "split", i_split
 
     def advance(self, eta_new: float) -> None:
         if eta_new < self.eta:
@@ -625,7 +692,7 @@ class EngineState:
         self._undo = ("merge" if j else "death", a, members, self.s[members])
         if j:
             # order the merged slice by the current gradient values
-            lo = int(self.starts[j - 1])
+            lo = self.starts.item(j - 1)
             merged = self.order[lo:b].copy()
             sg_now = self.sgrad_val[lo:b] + (self.eta - self.eta_ref) * self.sgrad_rate[lo:b]
             self.order[lo:b] = merged[np.lexsort((merged, sg_now))]
@@ -639,7 +706,8 @@ class EngineState:
             self.levels = self.levels[1:]
             zero_members = self.order[:self.zero_count]
             at_nonzero = self.levels.repeat(self.starts[1:] - self.starts[:-1])
-            zgrad = self._gram_times(at_nonzero[:, None])[zero_members, 0] \
+            nz = self.order[self.zero_count:]
+            zgrad = self._gram_times(at_nonzero[:, None], -self.s[nz][:, None])[zero_members, 0] \
                 - self.Xty[zero_members]
             self.s[upper] = np.where(zgrad[-upper.size:] >= 0, 1.0, -1.0)
             self.order[:self.zero_count] = zero_members[np.lexsort((zero_members,
@@ -661,7 +729,7 @@ class EngineState:
 
         The swap negates the pair's gradient difference and rate exactly,
         so the pair's new switch time is inf."""
-        if self._slice_end[k] != self._slice_end[k + 1]:
+        if self._slice_end.item(k) != self._slice_end.item(k + 1):
             raise NumericalError("switch across a group boundary")
         for a in (self.order, self.sgrad_val, self.sgrad_rate):
             a[k], a[k + 1] = a[k + 1], a[k]
@@ -681,10 +749,11 @@ class EngineState:
         """After a switch changed the gradient at q (and at q - 1 for a swap):
         q's suffix value and rate and split time, the switch times of the
         pairs q - 2 .. q, and the sign time while q < 2, each one position
-        at a time in scalar arithmetic."""
-        more = q + 1 < self._slice_end[q]
-        self.suf_val[q] = self.sgrad_val[q] + (self.suf_val[q + 1] if more else 0.0)
-        self.suf_rate[q] = self.sgrad_rate[q] + (self.suf_rate[q + 1] if more else 0.0)
+        at a time in Python floats."""
+        sg, suf = self._sg, self._suf
+        more = q + 1 < self._slice_end.item(q)
+        suf[q, 0] = sg.item(q, 0) + (suf.item(q + 1, 0) if more else 0.0)
+        suf[q, 1] = sg.item(q, 1) + (suf.item(q + 1, 1) if more else 0.0)
         self.split_t[q] = self._time_to_zero_at(*self._split_margins(q))
         for k in range(max(q - 2, 0), min(q + 1, self.p - 1)):
             self.switch_t[k] = self._time_to_zero_at(*self._order_gaps(k, k + 1))
@@ -697,11 +766,27 @@ def _any(mask) -> bool:
     return np.count_nonzero(mask) > 0 if isinstance(mask, np.ndarray) else bool(mask)
 
 
-def _suffix_within(values: np.ndarray, slice_ends: np.ndarray) -> np.ndarray:
-    """Per-position suffix sums restricted to each position's slice."""
-    total = np.zeros(values.size + 1)
-    total[-2::-1] = values[::-1].cumsum()
-    return total[:-1] - total[slice_ends]
+def _entry(a: np.ndarray, i: int | slice):
+    """``a[i]``, a Python scalar for an int ``i``."""
+    return a.item(i) if type(i) is int else a[i]
+
+
+def _pair(a: np.ndarray, i: int | slice) -> tuple:
+    """Both columns of the (p, 2) ``a`` at ``i``, Python floats for an int."""
+    return (a.item(i, 0), a.item(i, 1)) if type(i) is int else (a[i, 0], a[i, 1])
+
+
+def _selected(values, mask) -> np.ndarray:
+    """``values[mask]`` for arrays and scalars alike, as an array."""
+    return np.atleast_1d(values)[np.atleast_1d(mask)]
+
+
+def _earliest(times: np.ndarray) -> tuple[float, int]:
+    """(smallest time, its first index), or (inf, -1) when there is none."""
+    if not times.size:
+        return math.inf, -1
+    i = int(times.argmin())
+    return times.item(i), i
 
 
 def apply_event(state: EngineState, event: PathEvent) -> EngineState:

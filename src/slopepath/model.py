@@ -444,10 +444,11 @@ def validate_ray(lam0, lam_bar) -> WeightRay:
 
 
 def instance_hash(instance: ProblemInstance) -> str:
-    """SHA-256 over the raw bytes of (y, X, ridge)."""
+    """SHA-256 over the raw bytes of (y, X, ridge), read in place from
+    C-contiguous arrays."""
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(instance.y).tobytes())
-    h.update(np.ascontiguousarray(instance.X).tobytes())
+    h.update(np.ascontiguousarray(instance.y))
+    h.update(np.ascontiguousarray(instance.X))
     h.update(np.float64(instance.ridge).tobytes())
     return h.hexdigest()
 

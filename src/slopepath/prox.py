@@ -146,7 +146,13 @@ def _lipschitz_estimate(instance: ProblemInstance) -> float:
     est = 1.0
     for _ in range(_POWER_ITERATIONS):
         w = instance.X.T @ (instance.X @ v) + instance.ridge * v
-        est = float(np.linalg.norm(w))
+        with np.errstate(over="ignore"):
+            est = float(np.linalg.norm(w))
+        if not math.isfinite(est):
+            # the sum of squares overflowed: take the norm of w / max|w|
+            scale = float(np.abs(w).max())
+            if math.isfinite(scale):
+                est = scale * float(np.linalg.norm(w / scale))
         if est == 0.0:
             return instance.ridge if instance.ridge > 0 else 1.0
         v = w / est

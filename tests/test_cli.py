@@ -81,6 +81,16 @@ class TestSimulateAndPath:
         etas = [e.eta for e in path.breakpoints()]
         assert etas == pytest.approx([2.0, 4.0])
 
+    def test_negative_validate_every_exit_code(self, tmp_path, t2_instance, capsys):
+        from slopepath import save_instance
+        inst_file = tmp_path / "t2.csv"
+        save_instance(t2_instance, inst_file)
+        out = tmp_path / "path.jsonl"
+        assert run_cli(["path", "--instance", inst_file, "--design", "qs",
+                        "--validate-every", "-1", "--out", out]) == 2
+        assert "error: validate_every must be at least 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("eta_max", ["0", "-1", "nan"])
     def test_horizon_that_is_not_positive_exit_code(self, tmp_path, t2_instance, capsys,
                                                     eta_max):

@@ -356,6 +356,25 @@ class TestRunPath:
         with pytest.raises(ValidationError, match="eta_max must be positive"):
             run_path(t2_instance, ray)
 
+    @pytest.mark.parametrize("bad", [
+        {"iteration_cap": 0}, {"iteration_cap": -3}, {"iteration_cap": math.nan},
+        {"validate_every": -1}, {"validate_every": math.nan},
+        {"timing_clamp": -1e-10}, {"tie_rtol": math.nan}, {"negative_margin_rtol": math.inf},
+        {"group_tol_scale": math.nan}, {"probe_tol": math.nan}, {"probe_tol": -1.0},
+    ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+    def test_options_reject_invalid_values(self, bad):
+        name = next(iter(bad))
+        with pytest.raises(ValidationError, match=name):
+            PathOptions(**bad)
+
+    def test_options_accept_their_edges(self, t2_instance, t2_ray):
+        # probe_tol = 0 rebuilds after every structural event (TestFallbacks)
+        options = PathOptions(iteration_cap=10, validate_every=0, timing_clamp=0.0,
+                              tie_rtol=0.0, negative_margin_rtol=0.0, group_tol_scale=0.0,
+                              probe_tol=0.0)
+        assert [e.kind for e in run_path(t2_instance, t2_ray, options).events] \
+            == [e.kind for e in run_path(t2_instance, t2_ray).events]
+
     def test_iteration_cap_raises(self, t2_instance, t2_ray):
         with pytest.raises(IterationCapError):
             run_path(t2_instance, t2_ray, PathOptions(iteration_cap=1))

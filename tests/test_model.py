@@ -138,6 +138,19 @@ class TestSerialization:
         assert back.ridge == inst.ridge
         assert instance_hash(back) == instance_hash(inst)
 
+    def test_instance_hash_matches_the_byte_copy_digest(self):
+        import hashlib
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((6, 4))
+        # a C-ordered instance, and one built from a Fortran-ordered X
+        for inst in (ProblemInstance(y=rng.standard_normal(6), X=X, ridge=0.25),
+                     ProblemInstance(y=rng.standard_normal(6), X=np.asfortranarray(X))):
+            h = hashlib.sha256()
+            h.update(np.ascontiguousarray(inst.y).tobytes())
+            h.update(np.ascontiguousarray(inst.X).tobytes())
+            h.update(np.float64(inst.ridge).tobytes())
+            assert instance_hash(inst) == h.hexdigest()
+
     def test_instance_headerless(self, tmp_path):
         p = tmp_path / "plain.csv"
         p.write_text("1.5,2.0\n-0.5,1.0\n")

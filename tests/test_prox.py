@@ -208,6 +208,13 @@ class TestSolverInputChecks:
         assert info.value.iterations <= 100
         assert info.value.report.worst_magnitude == 1.0
 
+    @pytest.mark.parametrize("scale", [1e60, 1e100, 1e150])
+    def test_lipschitz_estimate_survives_an_overflowing_norm(self, scale):
+        # X = scale * I: the largest eigenvalue of X^T X is scale^2; past
+        # 1e77 or so the plain sum of squares of a power iterate overflows
+        inst = ProblemInstance(y=(1.0, 2.0), X=np.diag([scale, scale]))
+        assert _lipschitz_estimate(inst) == pytest.approx(scale * scale, rel=1e-12)
+
     def test_lipschitz_estimate_is_computed_once_per_instance(self, monkeypatch):
         inst = self._instance(X=np.array([[2.0, 0.5, 0.0], [0.0, 1.0, 0.3], [0.1, 0.0, 1.5]]))
         first = solve_slope(inst, [0.1, 0.2, 0.4])
