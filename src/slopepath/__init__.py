@@ -11,10 +11,8 @@ from .datagen import ScenarioSpec, generate
 from .engine import (
     EngineState,
     PathOptions,
-    grouped_design,
     run_path,
     segment_solution,
-    structure_from_beta,
 )
 from .errors import (
     NumericalError,
@@ -43,7 +41,7 @@ from .model import (
     validate_instance,
     validate_ray,
 )
-from .optimality import OptimalityReport, check_optimality, signs_and_order
+from .optimality import OptimalityReport, check_optimality, signs_and_order, structure_from_beta
 from .prox import SolverOptions, solve_slope, sorted_l1_prox
 from .weights import (
     bh_sequence,
@@ -63,7 +61,7 @@ __all__ = [
     "PathSegment", "SolutionPath", "validate_instance", "validate_ray",
     "save_instance", "load_instance", "save_path", "load_path",
     "run_path", "eval_path", "PathOptions", "EngineState",
-    "grouped_design", "segment_solution", "structure_from_beta",
+    "segment_solution", "structure_from_beta",
     "check_optimality", "signs_and_order", "OptimalityReport",
     "sorted_l1_prox", "solve_slope", "SolverOptions",
     "bh_sequence", "gaussian_sequence", "oscar_sequence", "qs_sequence",

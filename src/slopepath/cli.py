@@ -40,12 +40,16 @@ from .weights import DESIGN_NAMES, design_sequence
 
 
 def _read_vector(path: str) -> np.ndarray:
+    """Numbers separated by commas or whitespace; raises ValidationError,
+    naming the file and the line, on one that is not a number."""
     values = []
-    for raw in Path(path).read_text().split():
-        for cell in raw.split(","):
-            cell = cell.strip()
-            if cell:
+    for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
+        for cell in line.replace(",", " ").split():
+            try:
                 values.append(float(cell))
+            except ValueError:
+                raise ValidationError(f"{path}, line {line_no}: "
+                                      f"not a number: {cell!r}") from None
     return np.asarray(values, dtype=float)
 
 

@@ -16,9 +16,10 @@ Ainv borders it with the cross products of its column X S_k, read from X
 (O(n p)) only the first time the group forms in the run and memoized
 after that; group columns gather their members from a column-major copy
 of X, which gives the same bits as strided columns of X, faster.  One
-method inverts the grouped Gram from scratch: at the start, when a
-bordered insert or the probe after it fails, and to check the cached
-inverse.  Three event families end a segment: adjacent group
+function builds the grouped system (S^T X^T y, A) from scratch, for
+:func:`segment_solution` and for the one method that inverts it: at the
+start, when a bordered insert or the probe after it fails, and to check
+the cached inverse.  Three event families end a segment: adjacent group
 values colliding (fuse, including a group hitting zero), a grouped
 inequality margin reaching zero (split, including activations out of the
 zero group), and the within-group gradient order or the leading
@@ -62,7 +63,6 @@ from .model import (
     ProblemInstance,
     SolutionPath,
     WeightRay,
-    eval_path,
     instance_hash,
     scatter_groups,
     validate_instance,
@@ -74,12 +74,9 @@ from .prox import solve_slope
 __all__ = [
     "PathOptions",
     "EngineState",
-    "grouped_design",
     "segment_solution",
-    "structure_from_beta",
     "apply_event",
     "run_path",
-    "eval_path",
 ]
 
 
@@ -130,23 +127,19 @@ def _group_column(X: np.ndarray, signs: np.ndarray, members: np.ndarray) -> np.n
     return -(X[:, members] * signs[members]).sum(axis=1)
 
 
-def grouped_design(structure: GroupStructure, X: np.ndarray) -> np.ndarray:
-    """Signed grouped columns, one per nonzero group.
-
-    Column j is sum_{i in G_j} sign(beta_i) x_i; for the stored sign
-    convention that is -sum s_i x_i.  The zero group contributes nothing.
-    """
-    X = np.asarray(X, dtype=float)
-    cols = [_group_column(X, structure.signs, g) for g in structure.groups()[1:]]
-    return np.column_stack(cols) if cols else np.zeros((X.shape[0], 0))
-
-
-def _grouped_system(structure: GroupStructure, X: np.ndarray, Xty: np.ndarray,
-                    ridge: float) -> tuple[np.ndarray, np.ndarray]:
-    """From-scratch (XG^T y, A) with A = XG^T XG + ridge * diag(sizes)."""
-    XG = grouped_design(structure, X)
-    XGty = np.array([_group_ydot(Xty, structure.signs, g) for g in structure.groups()[1:]])
-    return XGty, XG.T @ XG + ridge * np.diag(structure.group_sizes().astype(float))
+def _grouped_system(order: np.ndarray, starts: np.ndarray, signs: np.ndarray, X: np.ndarray,
+                    Xty: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
+    """From-scratch (XG^T y, A) with A = XG^T XG + ridge * diag(sizes) for
+    the nonzero groups order[starts[j]:starts[j + 1]]; column j of XG is
+    sum_{i in G_j} sign(beta_i) x_i, which the stored convention writes
+    -sum s_i x_i.  No nonzero group gives a 0 x 0 system."""
+    m = starts.size - 1
+    XG, XGty = np.empty((X.shape[0], m)), np.empty(m)
+    for j in range(m):
+        members = order[starts[j]:starts[j + 1]]
+        XG[:, j] = _group_column(X, signs, members)
+        XGty[j] = _group_ydot(Xty, signs, members)
+    return XGty, XG.T @ XG + ridge * np.diag(np.diff(starts).astype(float))
 
 
 def _grouped_weight_sums(cum0: np.ndarray, cumbar: np.ndarray,
@@ -168,8 +161,8 @@ def segment_solution(structure: GroupStructure, instance: ProblemInstance,
     levels = Ainv (XG^T y - lamG(eta)) and slope = -Ainv lamG_bar with
     A = XG^T XG + ridge * diag(group sizes).
     """
-    XGty, A = _grouped_system(structure, instance.X, instance.X.T @ instance.y,
-                              instance.ridge)
+    XGty, A = _grouped_system(structure.order, structure.offsets, structure.signs, instance.X,
+                              instance.X.T @ instance.y, instance.ridge)
     lam0g, lambarg = _grouped_weight_sums(_prefix_sums(ray.lam0),
                                           _prefix_sums(ray.lam_bar), structure.offsets)
     return np.linalg.solve(A, XGty - lam0g - eta * lambarg), -np.linalg.solve(A, lambarg)
@@ -326,8 +319,8 @@ class EngineState:
     def _scratch_system(self) -> tuple[np.ndarray, np.ndarray]:
         """(XGty, Ainv) built from scratch for the current groups: the one
         place the grouped Gram is inverted."""
-        structure = GroupStructure(self.order, self.starts, np.zeros(self.n_groups), self.s)
-        XGty, A = _grouped_system(structure, self._XF, self.Xty, self.ridge)
+        XGty, A = _grouped_system(self.order, self.starts, self.s, self._XF, self.Xty,
+                                  self.ridge)
         return XGty, np.linalg.inv(A)
 
     def _group_sums(self, w: np.ndarray) -> np.ndarray:
@@ -838,17 +831,15 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
     cap = options.iteration_cap if options.iteration_cap is not None \
         else 50 * instance.p * instance.p
 
-    state = EngineState(instance, ray, options)
-
     events: list[PathEvent] = []
-    # knots: beta and the slope where the slope may change, and where a
-    # switch leaves a grouped value on an exact zero (see KnotSegments)
-    knot_at, knot_eta = [0], [0.0]
-    betas, slopes = [state.scatter_beta()], [state.scatter_slope()]
-
-    # one handler around the whole loop, which costs nothing until it
-    # catches: a numerical failure leaves with what reproduces it
+    # one handler around the start and the whole loop, which costs nothing
+    # until it catches: a numerical failure leaves with what reproduces it
     try:
+        state = EngineState(instance, ray, options)
+        # knots: beta and the slope where the slope may change, and where a
+        # switch leaves a grouped value on an exact zero (see KnotSegments)
+        knot_at, knot_eta = [0], [0.0]
+        betas, slopes = [state.scatter_beta()], [state.scatter_slope()]
         while True:
             t, kind, idx = state.next_event()
             if t >= ray.eta_max or math.isinf(t):

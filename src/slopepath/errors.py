@@ -44,7 +44,8 @@ class NumericalError(SlopePathError):
 
 
 class NonFiniteError(ValidationError):
-    """Input contains NaN or infinite entries."""
+    """Input contains NaN or infinite entries, or data whose Gram products
+    overflow float64."""
 
 
 class SingularGramError(ValidationError):

@@ -225,15 +225,6 @@ class PathSegment:
     def value(self, eta: float) -> np.ndarray:
         return self.beta_start + (eta - self.eta_start) * self.slope
 
-    @classmethod
-    def _unchecked(cls, eta_start, eta_end, beta_start, slope, ending_event) -> "PathSegment":
-        """A segment from float64 arrays and eta_start < eta_end, without
-        the conversions and the check, which a traced path's fields pass."""
-        seg = object.__new__(cls)
-        seg.__dict__.update(eta_start=eta_start, eta_end=eta_end, beta_start=beta_start,
-                            slope=slope, ending_event=ending_event)
-        return seg
-
 
 class KnotSegments(Sequence):
     """The segments of a traced path, read-only and built on access from
@@ -253,8 +244,10 @@ class KnotSegments(Sequence):
     A segment ends at each event that moves eta past the segment's start
     (coincident and absorbed events end none), and its start value is beta
     after every event before its ending event.  ``len`` and ``starts``
-    need no replay; indexing replays from the nearest knot and iteration
-    in order.  Only the segment built last is kept, so the path stays
+    need no replay.  Indexing replays from the segment built last when it
+    lies after the same knot and before the one asked for, and from the
+    knot otherwise, so iteration (``Sequence``'s, by index) replays each
+    event once.  Only the segment built last is kept, so the path stays
     compact however much of it was read.
     """
 
@@ -284,43 +277,29 @@ class KnotSegments(Sequence):
         end = self._ends[i]  # negative and out-of-range i as for a tuple
         if i < 0:
             i += len(self._ends)
-        last = self._last
-        if last[0] == i:
-            return last[1]
+        j, seg = self._last
+        if j == i:
+            return seg
         k = bisect.bisect_right(self._at, end) - 1
-        beta = self._betas[k]
-        if self._at[k] < end:
-            beta = self._replay(k, beta, self._eta[k], self._at[k], end)[0]
-        return self._segment(i, end, k, beta)
-
-    def __iter__(self) -> Iterator[PathSegment]:
-        k = -1
-        for i, end in enumerate(self._ends):
-            knot = bisect.bisect_right(self._at, end) - 1
-            if knot != k:
-                k, done, beta, eta = knot, self._at[knot], self._betas[knot], self._eta[knot]
-            if done < end:
-                beta, eta = self._replay(k, beta, eta, done, end)
-                done = end
-            yield self._segment(i, end, k, beta)
-
-    def _replay(self, k: int, beta: np.ndarray, eta: float, done: int,
-                upto: int) -> tuple[np.ndarray, float]:
-        """(beta, eta) after ``upto`` events from their values after
-        ``done``, every event between being a switch after knot k: the
-        engine's advance step, in its order."""
+        done, beta, eta = self._at[k], self._betas[k], self._eta[k]
+        if 0 <= j < i and self._ends[j] >= done:
+            # resume from the segment built last, after the same knot: its
+            # start is beta and eta after its ending event's predecessors
+            done, beta, eta = self._ends[j], seg.beta_start, seg.eta_start
+        # every event from there to the end is a switch after knot k: the
+        # engine's advance step, in its order
         slope = self._slopes[k]
-        for j in range(done, upto):
-            t = self._events[j].eta
+        for event in self._events[done:end]:
+            t = event.eta
             if t < eta:
                 t = eta  # absorbed at the current position
             beta = beta + (t - eta) * slope
             eta = t
-        return beta, eta
+        return self._segment(i, end, k, beta)
 
     def _segment(self, i: int, end: int, k: int, beta: np.ndarray) -> PathSegment:
         event = self._events[end]
-        seg = PathSegment._unchecked(self.starts[i], event.eta, beta, self._slopes[k], event)
+        seg = PathSegment(self.starts[i], event.eta, beta, self._slopes[k], event)
         self._last = (i, seg)
         return seg
 
@@ -333,7 +312,8 @@ class SolutionPath:
     and a :class:`KnotSegments` view for a traced one: the same segments,
     byte for byte, with beta stored once per knot instead of once per event.
     ``len(path.segments)`` is cheap there, and each indexed segment is
-    replayed from its nearest knot (the one built last is kept)."""
+    replayed from the segment built last, the one segment kept, or from
+    its nearest knot; iterating replays each event once."""
 
     segments: Sequence[PathSegment]
     events: tuple[PathEvent, ...]
@@ -386,13 +366,17 @@ def validate_instance(instance: ProblemInstance) -> ProblemInstance:
 
     Returns the instance with ``effective_rank`` and the plain, read-only
     Gram ``gram`` = X^T X recorded on it, which the path engine reads
-    instead of forming its own; raises :class:`NonFiniteError` or
+    instead of forming its own; raises :class:`NonFiniteError` (on
+    non-finite data, or a Gram that overflows float64) or
     :class:`SingularGramError` otherwise.
     """
     check_instance_data(instance)
     X, p = instance.X, instance.p
-    plain = X.T @ X
+    with np.errstate(over="ignore"):
+        plain = X.T @ X
     gram = plain + instance.ridge * np.eye(p)
+    if not np.isfinite(gram).all():
+        raise NonFiniteError("the Gram matrix X^T X + ridge I overflows float64; rescale X")
     eigvals = np.linalg.eigvalsh(gram)
     tol = SINGULARITY_RTOL * max(float(np.max(np.diag(gram))), 1e-300)
     if eigvals[0] < tol:
@@ -474,21 +458,31 @@ def save_instance(instance: ProblemInstance, csv_path, metadata: dict | None = N
 
 
 def load_instance(csv_path) -> ProblemInstance:
-    """Read an instance saved by :func:`save_instance` (header optional)."""
+    """Read an instance saved by :func:`save_instance` (header optional).
+
+    Raises :class:`ValidationError`, naming the file and the line, on a
+    cell that is not a number or a row whose length differs from the
+    first row's."""
     csv_path = Path(csv_path)
     rows = []
     with csv_path.open() as fh:
-        for line_no, line in enumerate(fh):
+        for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             cells = line.split(",")
-            if line_no == 0:
+            if line_no == 1:
                 try:
                     float(cells[0])
                 except ValueError:
                     continue  # header row
-            rows.append([float(c) for c in cells])
+            try:
+                rows.append([float(c) for c in cells])
+            except ValueError as exc:
+                raise ValidationError(f"{csv_path}, line {line_no}: {exc}") from None
+            if len(cells) != len(rows[0]):
+                raise ValidationError(f"{csv_path}, line {line_no}: {len(cells)} cells, "
+                                      f"the first row has {len(rows[0])}")
     if not rows:
         raise ValidationError(f"no data rows in {csv_path}")
     data = np.asarray(rows, dtype=float)

@@ -198,3 +198,47 @@ class TestConfigAndErrors:
         weights_file.write_text("0\n1\n")
         assert run_cli(["solve", "--instance", inst_file,
                         "--weights", weights_file]) == 2
+
+
+class TestMalformedInput:
+    """Bad input files exit 2 with a message naming the file and line."""
+
+    @staticmethod
+    def _solve(tmp_path, capsys, instance_text, weights_text="0\n1\n"):
+        inst_file = tmp_path / "inst.csv"
+        inst_file.write_text(instance_text)
+        weights_file = tmp_path / "w.txt"
+        weights_file.write_text(weights_text)
+        code = run_cli(["solve", "--instance", inst_file, "--weights", weights_file])
+        return code, capsys.readouterr().err
+
+    def test_non_numeric_instance_cell(self, tmp_path, capsys):
+        code, err = self._solve(tmp_path, capsys, "y,x1,x2\n1.0,1.0,0.0\n2.0,abc,1.0\n")
+        assert code == 2
+        assert "inst.csv, line 3" in err and "'abc'" in err
+
+    def test_ragged_instance_row(self, tmp_path, capsys):
+        code, err = self._solve(tmp_path, capsys, "1.0,1.0,0.0\n2.0,0.0\n")
+        assert code == 2
+        assert "inst.csv, line 2: 2 cells, the first row has 3" in err
+
+    def test_non_numeric_weights_entry(self, tmp_path, capsys):
+        code, err = self._solve(tmp_path, capsys, "1.0,1.0,0.0\n2.0,0.0,1.0\n",
+                                weights_text="0\n1,x\n")
+        assert code == 2
+        assert "w.txt, line 2: not a number: 'x'" in err
+
+    @pytest.mark.parametrize("command", ["path", "solve"])
+    def test_overflowing_gram(self, tmp_path, capsys, command):
+        # X = 1e155 I: X^T X = 1e310 I overflows float64
+        inst_file = tmp_path / "big.csv"
+        inst_file.write_text("1.0,1e155,0.0\n2.0,0.0,1e155\n")
+        weights_file = tmp_path / "w.txt"
+        weights_file.write_text("0\n1\n")
+        args = {"path": ["--lambda0", tmp_path / "zero.txt", "--lambdabar", weights_file,
+                         "--out", tmp_path / "path.jsonl"],
+                "solve": ["--weights", weights_file]}[command]
+        (tmp_path / "zero.txt").write_text("0\n0\n")
+        assert run_cli([command, "--instance", inst_file, *args]) == 2
+        assert "overflows float64" in capsys.readouterr().err
+        assert not (tmp_path / "path.jsonl").exists()

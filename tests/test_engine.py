@@ -18,7 +18,6 @@ from slopepath import (
     bh_sequence,
     check_optimality,
     eval_path,
-    grouped_design,
     load_path,
     path_metrics,
     qs_sequence,
@@ -32,12 +31,14 @@ from slopepath import (
 from slopepath.datagen import ScenarioSpec, generate
 from slopepath.engine import (
     _group_column,
+    _grouped_system,
     _inv_delete,
     _sym_delete,
     _sym_insert,
     apply_event,
 )
 from slopepath.errors import (
+    DidNotConvergeError,
     IterationCapError,
     NumericalError,
     StructureInvariantBrokenError,
@@ -62,30 +63,34 @@ def fused_t2_structure():
 
 
 class TestGroupedDesign:
+    """Grouped columns and the from-scratch grouped system: column j of XG
+    is sum_{i in G_j} sign(beta_i) x_i, -sum s_i x_i in the stored
+    convention, and A = XG^T XG + ridge * diag(group sizes)."""
+
     def test_fused_pair_sums_columns(self, t2_instance):
-        XG = grouped_design(fused_t2_structure(), t2_instance.X)
-        assert XG == pytest.approx(np.array([[1.0], [1.0]]))
+        structure = fused_t2_structure()
+        column = _group_column(t2_instance.X, structure.signs, structure.order)
+        assert column == pytest.approx([1.0, 1.0])
+        Xty = t2_instance.X.T @ t2_instance.y
+        XGty, A = _grouped_system(structure.order, structure.offsets, structure.signs,
+                                  t2_instance.X, Xty, 0.5)
+        assert XGty == pytest.approx([4.0])
+        assert A == pytest.approx(np.array([[2.0 + 0.5 * 2]]))
 
     def test_negative_sign_flips_column(self):
         X = np.array([[2.0, 0.0], [0.0, 3.0]])
-        structure = GroupStructure(
-            order=np.array([0, 1]),
-            offsets=np.array([1, 2]),  # coordinate 0 zeroed, group {1}
-            levels=np.array([0.7]),
-            signs=np.array([1.0, 1.0]),  # beta_1 < 0
-        )
-        XG = grouped_design(structure, X)
-        assert XG == pytest.approx(np.array([[0.0], [-3.0]]))
+        order, offsets = np.array([0, 1]), np.array([1, 2])  # coordinate 0 zeroed, group {1}
+        signs = np.array([1.0, 1.0])  # beta_1 < 0
+        assert _group_column(X, signs, order[1:]) == pytest.approx([0.0, -3.0])
+        XGty, A = _grouped_system(order, offsets, signs, X, np.array([1.0, 2.0]), 0.0)
+        assert XGty == pytest.approx([-2.0])
+        assert A == pytest.approx(np.array([[9.0]]))
 
     def test_zero_group_contributes_nothing(self, t2_instance):
-        structure = GroupStructure(
-            order=np.array([0, 1]),
-            offsets=np.array([2]),
-            levels=np.zeros(0),
-            signs=np.array([1.0, 1.0]),
-        )
-        XG = grouped_design(structure, t2_instance.X)
-        assert XG.shape == (2, 0)
+        order, offsets = np.array([0, 1]), np.array([2])
+        XGty, A = _grouped_system(order, offsets, np.array([1.0, 1.0]), t2_instance.X,
+                                  t2_instance.X.T @ t2_instance.y, 0.5)
+        assert XGty.shape == (0,) and A.shape == (0, 0)
 
 
 class TestGramHelpers:
@@ -800,6 +805,20 @@ class TestErrorContext:
         assert list(info.value.recent_events) == [
             (e.kind, e.eta, e.g, e.k) for e in clean.events[:5]]
         assert str(info.value).startswith("event cap 5 reached")
+
+    def test_failed_start_carries_context(self):
+        # the start at lam0 != 0 comes from solve_slope, which stalls on
+        # data at this scale before any event
+        inst = ProblemInstance(y=np.array([1e100, 2e100]), X=1e100 * np.eye(2))
+        ray = WeightRay(lam0=np.array([0.0, 1.0]), lam_bar=np.array([0.0, 1.0]))
+        with pytest.raises(DidNotConvergeError) as info:
+            run_path(inst, ray)
+        exc = info.value
+        assert exc.instance_hash == instance_hash(inst)
+        assert exc.ray == ray.describe()
+        assert exc.event_index == 0 and exc.recent_events == ()
+        assert str(exc).startswith("stalled at iteration")
+        assert "event index 0" in str(exc)
 
 
 _PINNED = json.loads((Path(__file__).with_name("pinned_paths.json")).read_text())

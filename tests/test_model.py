@@ -81,6 +81,16 @@ class TestValidateInstance:
         with pytest.raises(ValidationError):
             validate_instance(ProblemInstance(y=np.ones(3), X=np.eye(2)))
 
+    @pytest.mark.parametrize("scale", [1e155, 1e160])
+    def test_overflowing_gram(self, scale):
+        # finite data whose X^T X overflows float64 is rejected before a
+        # path starts, not mid-path
+        inst = ProblemInstance(y=(1.0, 2.0), X=np.diag([scale, scale]))
+        with pytest.raises(NonFiniteError, match="overflows"):
+            validate_instance(inst)
+        with pytest.raises(NonFiniteError, match="overflows"):
+            run_path(inst, validate_ray(np.zeros(2), np.array([0.0, 1.0])))
+
     def test_caches_the_plain_gram(self):
         rng = np.random.default_rng(2)
         for n, p, ridge in ((30, 7, 0.0), (6, 9, 0.5), (200, 40, 1e-3)):
