@@ -42,7 +42,7 @@ from .model import (
     validate_ray,
 )
 from .optimality import OptimalityReport, check_optimality, signs_and_order, structure_from_beta
-from .prox import SolverOptions, solve_slope, sorted_l1_prox
+from .prox import solve_slope, sorted_l1_prox
 from .weights import (
     bh_sequence,
     contour_extremes,
@@ -63,7 +63,7 @@ __all__ = [
     "run_path", "eval_path", "PathOptions", "EngineState",
     "segment_solution", "structure_from_beta",
     "check_optimality", "signs_and_order", "OptimalityReport",
-    "sorted_l1_prox", "solve_slope", "SolverOptions",
+    "sorted_l1_prox", "solve_slope",
     "bh_sequence", "gaussian_sequence", "oscar_sequence", "qs_sequence",
     "sphericity_ratio", "contour_extremes", "normal_quantile",
     "design_sequence",

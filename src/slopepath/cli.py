@@ -3,7 +3,8 @@
 Subcommands: weights, solve, check, path, simulate, bench, contour,
 sphericity.  Global flags --seed, --threads, --format and --config (a JSON
 file mirroring the long option names; explicit flags win).  Exit codes:
-0 on success, 2 for validation errors, 3 for numerical failures.
+0 on success, 2 for validation errors (an input or output file that
+cannot be opened included), 3 for numerical failures.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .model import (
     validate_ray,
 )
 from .optimality import check_optimality
-from .prox import SolverOptions, solve_slope
+from .prox import solve_slope
 from .weights import DESIGN_NAMES, design_sequence
 
 
@@ -98,8 +99,7 @@ def _cmd_weights(args) -> int:
 def _cmd_solve(args) -> int:
     instance = validate_instance(load_instance(args.instance))
     lam = _read_vector(args.weights)
-    options = SolverOptions(stop_tolerance=args.tol)
-    result = solve_slope(instance, lam, options)
+    result = solve_slope(instance, lam, stop_tolerance=args.tol)
     payload = {
         "beta": result.beta.tolist(),
         "iterations": result.iterations,
@@ -325,7 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config(parser: argparse.ArgumentParser, config_path: str) -> None:
     """Install config values as defaults on every (sub)parser; arguments the
     config satisfies stop being required, so flags stay optional overrides."""
-    defaults = json.loads(Path(config_path).read_text())
+    try:
+        defaults = json.loads(Path(config_path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"--config {config_path} is not JSON: {exc}") from None
     if not isinstance(defaults, dict):
         raise ValidationError("--config must hold a JSON object")
     defaults = {k.replace("-", "_"): v for k, v in defaults.items()}
@@ -353,7 +356,9 @@ def main(argv=None) -> int:
             _apply_config(parser, known.config)
         args = parser.parse_args(argv)
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
+        # OSError: an input file that cannot be read, or an output file
+        # that cannot be written
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except NumericalError as exc:

@@ -75,7 +75,6 @@ __all__ = [
     "PathOptions",
     "EngineState",
     "segment_solution",
-    "apply_event",
     "run_path",
 ]
 
@@ -780,21 +779,6 @@ def _earliest(times: np.ndarray) -> tuple[float, int]:
         return math.inf, -1
     i = int(times.argmin())
     return times.item(i), i
-
-
-def apply_event(state: EngineState, event: PathEvent) -> EngineState:
-    """Advance the state to an event's time and apply it.
-
-    The event must match the queue's earliest candidate (same kind and
-    time within tolerance).
-    """
-    t, kind, idx = state.next_event()
-    if kind != event.kind or not math.isclose(t, event.eta, rel_tol=1e-9, abs_tol=1e-12):
-        raise ValidationError(
-            f"event {event.kind}@{event.eta} is not the queue head ({kind}@{t})"
-        )
-    state.step(t, kind, idx)
-    return state
 
 
 # --- the path driver --------------------------------------------------------

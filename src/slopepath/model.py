@@ -367,16 +367,19 @@ def validate_instance(instance: ProblemInstance) -> ProblemInstance:
     Returns the instance with ``effective_rank`` and the plain, read-only
     Gram ``gram`` = X^T X recorded on it, which the path engine reads
     instead of forming its own; raises :class:`NonFiniteError` (on
-    non-finite data, or a Gram that overflows float64) or
+    non-finite data, or a Gram or X^T y that overflows float64) or
     :class:`SingularGramError` otherwise.
     """
     check_instance_data(instance)
     X, p = instance.X, instance.p
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         plain = X.T @ X
+        Xty = X.T @ instance.y
     gram = plain + instance.ridge * np.eye(p)
     if not np.isfinite(gram).all():
         raise NonFiniteError("the Gram matrix X^T X + ridge I overflows float64; rescale X")
+    if not np.isfinite(Xty).all():
+        raise NonFiniteError("X^T y overflows float64; rescale y or X")
     eigvals = np.linalg.eigvalsh(gram)
     tol = SINGULARITY_RTOL * max(float(np.max(np.diag(gram))), 1e-300)
     if eigvals[0] < tol:
@@ -522,29 +525,41 @@ def save_path(path: SolutionPath, jsonl_path) -> None:
 
 
 def load_path(jsonl_path) -> SolutionPath:
+    """Read a path saved by :func:`save_path`.
+
+    Raises :class:`ValidationError`, naming the file and the line, on a
+    line that is not JSON or a record that lacks a field it needs."""
     provenance: dict = {}
     segments: list[PathSegment] = []
     events: list[PathEvent] = []
     with Path(jsonl_path).open() as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"{jsonl_path}, line {line_no}: not JSON ({exc})") from None
+            if not isinstance(rec, dict):
+                raise ValidationError(f"{jsonl_path}, line {line_no}: not a JSON object")
             if rec.get("record") == "header":
                 provenance = rec.get("provenance", {})
                 continue
-            event = PathEvent.from_dict(rec["event"])
+            try:
+                event = PathEvent.from_dict(rec["event"])
+                if rec.get("record") != "event":
+                    segments.append(PathSegment(
+                        eta_start=rec["eta_start"],
+                        eta_end=rec["eta_end"],
+                        beta_start=np.asarray(rec["beta_start"], dtype=float),
+                        slope=np.asarray(rec["slope"], dtype=float),
+                        ending_event=event,
+                    ))
+            except KeyError as exc:
+                raise ValidationError(f"{jsonl_path}, line {line_no}: "
+                                      f"the record has no {exc} field") from None
             events.append(event)
-            if rec.get("record") == "event":
-                continue
-            segments.append(PathSegment(
-                eta_start=rec["eta_start"],
-                eta_end=rec["eta_end"],
-                beta_start=np.asarray(rec["beta_start"], dtype=float),
-                slope=np.asarray(rec["slope"], dtype=float),
-                ending_event=event,
-            ))
     return SolutionPath(segments=tuple(segments), events=tuple(events),
                         provenance=provenance)
 

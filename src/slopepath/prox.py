@@ -2,7 +2,9 @@
 
 This solver is independent of the path engine and serves both as the
 initializer for nonzero starting weights and as a validation oracle for
-path values.
+path values.  It runs one configuration, FISTA with a backtracking step
+bound and function-value adaptive restart; the stop tolerance is its one
+setting.
 
 The solver's step bound comes from a seeded power iteration on X^T X +
 ridge I, a deterministic function of the instance; it is computed once per
@@ -22,7 +24,7 @@ from .errors import DidNotConvergeError, NonFiniteError, ValidationError
 from .model import ProblemInstance, check_instance_data, check_weight_order
 from .optimality import OptimalityReport, check_optimality
 
-__all__ = ["sorted_l1_prox", "SolverOptions", "SolveResult", "solve_slope"]
+__all__ = ["sorted_l1_prox", "SolveResult", "solve_slope"]
 
 
 def sorted_l1_prox(v, weights) -> np.ndarray:
@@ -78,32 +80,6 @@ def _prox(v: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.sign(v) * out
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Knobs for :func:`solve_slope`.
-
-    ``step_rule`` is "power" (fixed 1/L from a seeded power iteration,
-    with a 1.05 safety factor and backtracking as a fallback) or
-    "backtracking" (pure adaptive steps).  ``stop_tolerance`` bounds the
-    worst optimality violation, relative to 1 + max weight.
-    """
-
-    max_iterations: int = 100_000
-    step_rule: str = "power"
-    stop_tolerance: float = 1e-9
-    use_restart: bool = True
-    check_every: int = 10
-    record_objective: bool = False
-
-    def __post_init__(self):
-        if not self.stop_tolerance > 0:  # NaN too
-            raise ValidationError("stop_tolerance must be positive")
-        if self.step_rule not in ("power", "backtracking"):
-            raise ValidationError("step_rule must be 'power' or 'backtracking'")
-        if self.max_iterations < 1 or self.check_every < 1:
-            raise ValidationError("max_iterations and check_every must be at least 1")
-
-
 @dataclass
 class SolveResult:
     beta: np.ndarray
@@ -134,9 +110,12 @@ def _penalty(weights, beta: np.ndarray) -> float:
     return float(a @ np.asarray(weights, dtype=float))
 
 
-#: power iterations, and the seed of their start, behind the fixed step 1/L
+#: power iterations, and the seed of their start, behind the step bound L
 _POWER_ITERATIONS = 20
 _POWER_SEED = 0
+#: iterations between optimality checks, and the cap on iterations
+_CHECK_EVERY = 10
+_MAX_ITERATIONS = 100_000
 
 
 def _lipschitz_estimate(instance: ProblemInstance) -> float:
@@ -171,15 +150,18 @@ def _instance_lipschitz(instance: ProblemInstance) -> float:
     return est
 
 
-def solve_slope(instance: ProblemInstance, weights,
-                options: SolverOptions | None = None,
-                beta0=None) -> SolveResult:
-    """Solve the sorted-L1 penalized least-squares problem.
+def solve_slope(instance: ProblemInstance, weights, *,
+                stop_tolerance: float = 1e-9) -> SolveResult:
+    """Solve the sorted-L1 penalized least-squares problem from beta = 0.
 
-    Accelerated proximal gradient with function-value adaptive restart.
-    Returns a :class:`SolveResult` whose optimality report has worst
-    violation <= stop_tolerance * (1 + max weight).  Raises
-    :class:`ValidationError` on misshapen data, weights or ``beta0``
+    Accelerated proximal gradient with function-value adaptive restart;
+    the step bound L starts at 1.05 times the power estimate and doubles
+    while the quadratic bound fails.  Returns a :class:`SolveResult`
+    whose optimality report, checked every ``_CHECK_EVERY`` iterations,
+    has worst violation <= stop_tolerance * (1 + max weight), and whose
+    ``objective_history`` holds the objective before and after each
+    iteration.  Raises :class:`ValidationError` on a ``stop_tolerance``
+    that is not positive and on misshapen data or weights
     (:class:`NonFiniteError` on non-finite ones), and
     :class:`DidNotConvergeError` (carrying the best iterate) if the
     iteration cap is hit first, the step search breaks down (a NaN
@@ -188,9 +170,10 @@ def solve_slope(instance: ProblemInstance, weights,
     point nor L repeats forever, so a check that fails there raises at
     once.  That happens on badly scaled data, where the rounding of the
     gradient exceeds the stop tolerance (y = (1e100, 2e100) with
-    X = 1e100 I, say).  Deterministic given the options.
+    X = 1e100 I, say).  Deterministic.
     """
-    options = options or SolverOptions()
+    if not stop_tolerance > 0:  # NaN too
+        raise ValidationError("stop_tolerance must be positive")
     lipschitz = _instance_lipschitz(instance)
     lam = np.asarray(weights, dtype=float)
     if lam.shape != (instance.p,):
@@ -199,17 +182,10 @@ def solve_slope(instance: ProblemInstance, weights,
         raise NonFiniteError("weights contain non-finite entries")
     # lam / L keeps the order for any L > 0, so the prox steps skip the check
     check_weight_order(lam)
-    if beta0 is None:
-        x = np.zeros(instance.p)
-    else:
-        x = np.array(beta0, dtype=float)
-        if x.shape != (instance.p,):
-            raise ValidationError("beta0 must have one entry per column of X")
-        if not np.isfinite(x).all():
-            raise NonFiniteError("beta0 contains non-finite entries")
+    x = np.zeros(instance.p)
 
-    tol = options.stop_tolerance * (1.0 + float(np.max(lam, initial=0.0)))
-    L = max(1.05 * lipschitz if options.step_rule == "power" else 1.0, 1e-12)
+    tol = stop_tolerance * (1.0 + float(np.max(lam, initial=0.0)))
+    L = max(1.05 * lipschitz, 1e-12)
     lam_step = lam / L
 
     def _gradient(beta, r):
@@ -221,17 +197,16 @@ def solve_slope(instance: ProblemInstance, weights,
     t = 1.0
     rx, fx = _smooth(instance, x)
     fx += _penalty(lam, x)
-    history = [fx] if options.record_objective else []
+    history = [fx]
 
     report = None
-    for it in range(1, options.max_iterations + 1):
+    for it in range(1, _MAX_ITERATIONS + 1):
         x_prev, z_prev, f_prev, L_prev = x, z, fx, L
         rz, fz = _smooth(instance, z)
         g = _gradient(z, rz)
         x_new = _prox(z - g / L, lam_step)
 
-        # Lipschitz check; double L on violation (also the pure
-        # backtracking path)
+        # Lipschitz check; double L on violation
         while True:
             r_new, smooth_new = _smooth(instance, x_new)
             diff = x_new - z
@@ -248,7 +223,7 @@ def solve_slope(instance: ProblemInstance, weights,
             x_new = _prox(z - g / L, lam_step)
 
         f_new = smooth_new + _penalty(lam, x_new)
-        if options.use_restart and f_new > fx + 1e-12 * (1.0 + abs(fx)):
+        if f_new > fx + 1e-12 * (1.0 + abs(fx)):
             # momentum overshoot: restart and take the plain proximal
             # gradient step, which contracts toward the optimum even when
             # objective differences are below floating-point resolution
@@ -260,10 +235,9 @@ def solve_slope(instance: ProblemInstance, weights,
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         z = x_new + ((t - 1.0) / t_new) * (x_new - x)
         x, rx, fx, t = x_new, r_new, f_new, t_new
-        if options.record_objective:
-            history.append(fx)
+        history.append(fx)
 
-        if it % options.check_every == 0 or it == options.max_iterations:
+        if it % _CHECK_EVERY == 0 or it == _MAX_ITERATIONS:
             report = check_optimality(x, _gradient(x, rx), lam,
                                       tol_eq=tol, tol_ineq=tol,
                                       tie_tol=1e-7 * (1.0 + float(np.max(np.abs(x)))))
@@ -282,7 +256,7 @@ def solve_slope(instance: ProblemInstance, weights,
                     beta=x, report=report, iterations=it)
 
     raise DidNotConvergeError(
-        f"no convergence within {options.max_iterations} iterations "
+        f"no convergence within {_MAX_ITERATIONS} iterations "
         f"(worst violation {report.worst_magnitude:.3e} > {tol:.3e})",
-        beta=x, report=report, iterations=options.max_iterations,
+        beta=x, report=report, iterations=_MAX_ITERATIONS,
     )

@@ -242,3 +242,59 @@ class TestMalformedInput:
         assert run_cli([command, "--instance", inst_file, *args]) == 2
         assert "overflows float64" in capsys.readouterr().err
         assert not (tmp_path / "path.jsonl").exists()
+
+
+class TestUnreadableFiles:
+    """A file that cannot be opened, or a config that is not JSON, exits 2
+    with one error line, not a traceback."""
+
+    @staticmethod
+    def _files(tmp_path, t2_instance):
+        from slopepath import save_instance
+        inst_file = tmp_path / "t2.csv"
+        save_instance(t2_instance, inst_file)
+        weights_file = tmp_path / "w.txt"
+        weights_file.write_text("0\n2\n")
+        return inst_file, weights_file
+
+    @pytest.mark.parametrize("missing", ["instance", "weights", "config", "out-dir"])
+    def test_missing_file_exit_code(self, tmp_path, t2_instance, capsys, missing):
+        inst_file, weights_file = self._files(tmp_path, t2_instance)
+        nothere = tmp_path / "nothere"
+        args = ["solve", "--instance", inst_file, "--weights", weights_file]
+        if missing == "instance":
+            args[2] = nothere / "inst.csv"
+        elif missing == "weights":
+            args[4] = nothere / "w.txt"
+        elif missing == "config":
+            args = ["--config", nothere / "cfg.json", *args]
+        else:
+            args += ["--out", nothere / "out.json"]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(nothere) in err
+
+    def test_config_that_is_not_json(self, tmp_path, t2_instance, capsys):
+        inst_file, weights_file = self._files(tmp_path, t2_instance)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{design: qs")
+        assert run_cli(["--config", cfg, "solve", "--instance", inst_file,
+                        "--weights", weights_file]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --config {cfg} is not JSON")
+
+    def test_overflowing_xty_path_exit_code(self, tmp_path, capsys):
+        # X^T y = (2e308, 1e308) overflows float64: no silently empty path
+        inst_file = tmp_path / "big.csv"
+        inst_file.write_text("1e308,1.0,0.0\n1e308,1.0,1.0\n")
+        out = tmp_path / "path.jsonl"
+        assert run_cli(["path", "--instance", inst_file, "--design", "qs",
+                        "--out", out]) == 2
+        assert "error: X^T y overflows float64" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_solve_tolerance_that_is_not_positive_exit_code(self, tmp_path, t2_instance,
+                                                            capsys):
+        inst_file, weights_file = self._files(tmp_path, t2_instance)
+        assert run_cli(["solve", "--instance", inst_file, "--weights", weights_file,
+                        "--tol", "nan"]) == 2
+        assert "error: stop_tolerance must be positive" in capsys.readouterr().err

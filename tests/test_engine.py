@@ -11,7 +11,6 @@ from hypothesis import assume, given, strategies as st
 from slopepath import (
     EngineState,
     GroupStructure,
-    PathEvent,
     PathOptions,
     ProblemInstance,
     WeightRay,
@@ -35,7 +34,6 @@ from slopepath.engine import (
     _inv_delete,
     _sym_delete,
     _sym_insert,
-    apply_event,
 )
 from slopepath.errors import (
     DidNotConvergeError,
@@ -264,28 +262,12 @@ class TestApplyEvents:
         assert terminal.nnz == 0 and terminal.n_groups == 0
 
     def test_apply_event_at_queue_head_matches_path_step(self):
-        stepped, applied = _bh8_state(), _bh8_state()
-        path = run_path(stepped.instance, stepped.ray)
-        for event in path.events[:25]:
-            t, kind, idx = stepped.next_event()
-            assert (kind, t) == (event.kind, event.eta)
-            assert stepped.step(t, kind, idx) == (event.g, event.k)
-            assert apply_event(applied, PathEvent(kind=kind, eta=t)) is applied
-            for name in ("order", "starts", "s", "levels", "slopeG", "split_t",
-                         "switch_t", "fuse_t"):
-                assert np.array_equal(getattr(applied, name), getattr(stepped, name))
-            assert (applied.eta, applied.sign_t, applied.n_events) \
-                == (stepped.eta, stepped.sign_t, stepped.n_events)
-
-    def test_apply_event_rejects_non_head_event(self):
         state = _bh8_state()
-        t, kind, _ = state.next_event()
-        other = "split" if kind != "split" else "fuse"
-        with pytest.raises(ValidationError):
-            apply_event(state, PathEvent(kind=other, eta=t))
-        with pytest.raises(ValidationError):
-            apply_event(state, PathEvent(kind=kind, eta=t + 1.0))
-        assert state.n_events == 0 and state.eta == 0.0
+        path = run_path(state.instance, state.ray)
+        for event in path.events[:25]:
+            t, kind, idx = state.next_event()
+            assert (kind, t) == (event.kind, event.eta)
+            assert state.step(t, kind, idx) == (event.g, event.k)
 
 
 def _bh8_state():

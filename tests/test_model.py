@@ -91,6 +91,15 @@ class TestValidateInstance:
         with pytest.raises(NonFiniteError, match="overflows"):
             run_path(inst, validate_ray(np.zeros(2), np.array([0.0, 1.0])))
 
+    def test_overflowing_xty(self):
+        # X^T y = (2e308, 1e308) overflows though X^T X is tame: rejected
+        # before a path starts, not traced from a start of inf
+        inst = ProblemInstance(y=(1e308, 1e308), X=np.array([[1.0, 0.0], [1.0, 1.0]]))
+        with pytest.raises(NonFiniteError, match="X\\^T y overflows"):
+            validate_instance(inst)
+        with pytest.raises(NonFiniteError, match="X\\^T y overflows"):
+            run_path(inst, validate_ray(np.zeros(2), np.array([1.0, 2.0])))
+
     def test_caches_the_plain_gram(self):
         rng = np.random.default_rng(2)
         for n, p, ridge in ((30, 7, 0.0), (6, 9, 0.5), (200, 40, 1e-3)):
@@ -206,6 +215,19 @@ class TestSerialization:
         assert back.events == path.events
         assert len(back.segments) == len(path.segments)
         assert path_metrics(back) == path_metrics(path) == (0.5, 0.5, 2)
+
+    @pytest.mark.parametrize("bad_line, message", [
+        ('{"record": "segment", "eta_start": 0.0}', "line 2: the record has no 'event' field"),
+        ('{"record": "segment"', "line 2: not JSON"),
+        ('[1, 2]', "line 2: not a JSON object"),
+    ], ids=["no-event", "not-json", "not-object"])
+    def test_malformed_path_file(self, tmp_path, t2_instance, t2_ray, bad_line, message):
+        file = tmp_path / "path.jsonl"
+        save_path(run_path(t2_instance, t2_ray), file)
+        lines = file.read_text().splitlines()
+        file.write_text("\n".join([lines[0], bad_line, *lines[1:]]) + "\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{file}, {message}")):
+            load_path(file)
 
     def test_path_options_round_trip(self, tmp_path, t2_instance, t2_ray):
         tolerances = dict(timing_clamp=2e-10, tie_rtol=3e-12, negative_margin_rtol=2e-7,

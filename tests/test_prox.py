@@ -1,10 +1,11 @@
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from slopepath import ProblemInstance, SolverOptions, solve_slope, sorted_l1_prox
+from slopepath import ProblemInstance, solve_slope, sorted_l1_prox
 from slopepath.errors import DidNotConvergeError, NonFiniteError, ValidationError
 from slopepath.model import check_weight_order
 from slopepath.optimality import check_optimality
@@ -87,7 +88,7 @@ class TestSolveSlope:
         y = X @ rng.standard_normal(12) + 0.1 * rng.standard_normal(40)
         lam = random_ascending_weights(rng, 12)
         inst = ProblemInstance(y=y, X=X)
-        res = solve_slope(inst, lam, SolverOptions(record_objective=True))
+        res = solve_slope(inst, lam)
         hist = np.array(res.objective_history)
         assert np.all(np.diff(hist) <= 1e-12 * (1.0 + np.abs(hist[:-1])))
         assert res.report.worst_magnitude <= 1e-9 * (1.0 + lam.max())
@@ -100,24 +101,18 @@ class TestSolveSlope:
         res = solve_slope(inst, np.array([0.1, 0.2]))
         assert res.report.optimal
 
-    def test_did_not_converge_carries_iterate(self, t2_instance):
+    def test_did_not_converge_carries_iterate(self, t2_instance, monkeypatch):
+        monkeypatch.setattr(prox, "_MAX_ITERATIONS", 2)
         with pytest.raises(DidNotConvergeError) as exc_info:
-            solve_slope(t2_instance, np.array([0.0, 2.0]),
-                        SolverOptions(max_iterations=2, check_every=1))
+            solve_slope(t2_instance, np.array([0.0, 2.0]))
         err = exc_info.value
         assert err.beta is not None
         assert err.report is not None
         assert err.iterations == 2
 
-    @pytest.mark.parametrize("field", ["check_every", "max_iterations"])
-    def test_rejects_counts_below_one(self, field):
-        for value in (0, -1):
-            with pytest.raises(ValidationError, match=field):
-                SolverOptions(**{field: value})
-
-    def test_rejects_nan_stop_tolerance(self):
-        with pytest.raises(ValidationError, match="stop_tolerance"):
-            SolverOptions(stop_tolerance=float("nan"))
+    def test_rejects_nan_stop_tolerance(self, t2_instance):
+        with pytest.raises(ValidationError, match="stop_tolerance must be positive"):
+            solve_slope(t2_instance, np.array([0.0, 2.0]), stop_tolerance=float("nan"))
 
     def test_deterministic(self, t2_instance):
         lam = np.array([0.3, 0.8])
@@ -148,17 +143,6 @@ class TestSolverInputChecks:
         with pytest.raises(NonFiniteError, match="weights"):
             solve_slope(self._instance(), weights)
 
-    @pytest.mark.parametrize("position", [0, 2])
-    def test_non_finite_beta0(self, position):
-        beta0 = np.zeros(3)
-        beta0[position] = float("nan") if position else -float("inf")
-        with pytest.raises(NonFiniteError, match="beta0"):
-            solve_slope(self._instance(), [0.0, 0.5, 1.0], beta0=beta0)
-
-    def test_beta0_of_wrong_length(self):
-        with pytest.raises(ValidationError, match="beta0 must have one entry per column"):
-            solve_slope(self._instance(), [0.0, 0.5, 1.0], beta0=[0.0, 0.0])
-
     @pytest.mark.parametrize("where", ["X", "y", "ridge"])
     def test_non_finite_unvalidated_instance(self, where):
         X = np.eye(3)
@@ -181,27 +165,32 @@ class TestSolverInputChecks:
         with pytest.raises(ValidationError, match=message):
             solve_slope(ProblemInstance(y=y, X=np.eye(3), ridge=ridge), [0.0, 0.5, 1.0])
 
-    @pytest.mark.parametrize("step_rule", ["power", "backtracking"])
-    def test_overflowing_losses_stop_the_step_search(self, step_rule):
-        # finite data whose losses overflow: the trial loss is NaN at once
+    @pytest.mark.parametrize("estimate", [None, 1.0], ids=["power", "backtracking"])
+    def test_overflowing_losses_stop_the_step_search(self, estimate, monkeypatch):
+        # finite data whose losses overflow: the trial loss is NaN at once,
+        # whether L starts from the power estimate (nan here) or from a
+        # finite bound that the search doubles
+        if estimate is not None:
+            monkeypatch.setattr(prox, "_lipschitz_estimate", lambda instance: estimate)
         X = np.array([[1e300, 1e300], [1e300, -1e300]])
         inst = ProblemInstance(y=[1e300, -1e300], X=X)
         with np.errstate(all="ignore"), pytest.raises(DidNotConvergeError) as info:
-            solve_slope(inst, [0.0, 1.0], SolverOptions(step_rule=step_rule))
+            solve_slope(inst, [0.0, 1.0])
         assert info.value.beta.tolist() == [0.0, 0.0]
         assert info.value.iterations == 1
         assert "step search broke down" in str(info.value)
+        if estimate is not None:
+            assert "(trial loss nan, L = 2.1)" in str(info.value)
 
-    @pytest.mark.parametrize("step_rule", ["power", "backtracking"])
     @pytest.mark.parametrize("scale", [1e100, 1e10])
-    def test_badly_scaled_data_stalls_fast(self, step_rule, scale):
+    def test_badly_scaled_data_stalls_fast(self, scale):
         # the optimum sits within rounding of (1, 2), where the gradient is
         # exactly zero: the iterate stops moving long before the cap, and
         # the solver says so at the first check after it stopped
         inst = ProblemInstance(y=(scale, 2.0 * scale), X=np.diag([scale, scale]))
         start = time.perf_counter()
         with np.errstate(all="ignore"), pytest.raises(DidNotConvergeError) as info:
-            solve_slope(inst, (0.0, 1.0), SolverOptions(step_rule=step_rule))
+            solve_slope(inst, (0.0, 1.0))
         assert time.perf_counter() - start < 0.5
         assert "stalled" in str(info.value)
         assert info.value.beta.tolist() == [1.0, 2.0]
@@ -328,6 +317,15 @@ def _old_solve_slope(instance, weights, options, beta0=None):
     raise DidNotConvergeError("", beta=x, report=report, iterations=options.max_iterations)
 
 
+def _one_config(max_iterations=100_000):
+    """The one configuration solve_slope runs, in the form the frozen loop
+    reads: the power step bound, restarts on, a check every 10 iterations
+    and the objective recorded."""
+    return SimpleNamespace(step_rule="power", stop_tolerance=1e-9, use_restart=True,
+                           check_every=10, record_objective=True,
+                           max_iterations=max_iterations)
+
+
 def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
@@ -378,8 +376,8 @@ class TestProxBitIdentity:
 
 def _solver_cases():
     """Seeded solver inputs: plain and rank-deficient ridge designs, zero,
-    tied and spread weights, both step rules, restarts off, warm starts,
-    and the lam0 starts that run_path hands to the solver."""
+    tied and spread weights, as in the lam0 starts that run_path hands to
+    the solver."""
     rng = np.random.default_rng(41)
     cases = []
     for trial in range(24):
@@ -395,32 +393,30 @@ def _solver_cases():
             lam = np.full(p, 0.4)
         elif trial % 6 == 3:
             lam[: p // 2] = 0.0
-        options = SolverOptions(record_objective=True,
-                                step_rule="backtracking" if trial % 3 == 2 else "power",
-                                use_restart=trial % 5 != 4)
-        beta0 = rng.standard_normal(p) if trial % 7 == 6 else None
-        cases.append((ProblemInstance(y=y, X=X, ridge=ridge), lam, options, beta0))
+        if trial % 7 == 6:
+            rng.standard_normal(p)  # once a warm start; kept so later cases keep their data
+        cases.append((ProblemInstance(y=y, X=X, ridge=ridge), lam))
     return cases
 
 
 class TestSolverBitIdentity:
     @pytest.mark.parametrize("case", range(24))
     def test_matches_frozen_loop(self, case):
-        instance, lam, options, beta0 = _solver_cases()[case]
-        new = solve_slope(instance, lam, options, beta0=beta0)
-        old = _old_solve_slope(instance, lam, options, beta0=beta0)
+        instance, lam = _solver_cases()[case]
+        new = solve_slope(instance, lam)
+        old = _old_solve_slope(instance, lam, _one_config())
         assert _bits(new.beta) == _bits(old.beta)
         assert new.iterations == old.iterations
         assert _bits(new.objective) == _bits(old.objective)
         assert _bits(new.objective_history) == _bits(old.objective_history)
         assert new.report.worst_violation == old.report.worst_violation
 
-    def test_iteration_cap_matches_frozen_loop(self):
-        instance, lam, _, _ = _solver_cases()[0]
-        options = SolverOptions(max_iterations=7, check_every=3, record_objective=True)
+    def test_iteration_cap_matches_frozen_loop(self, monkeypatch):
+        instance, lam = _solver_cases()[0]
+        monkeypatch.setattr(prox, "_MAX_ITERATIONS", 7)
         with pytest.raises(DidNotConvergeError) as new:
-            solve_slope(instance, lam, options)
+            solve_slope(instance, lam)
         with pytest.raises(DidNotConvergeError) as old:
-            _old_solve_slope(instance, lam, options)
+            _old_solve_slope(instance, lam, _one_config(max_iterations=7))
         assert _bits(new.value.beta) == _bits(old.value.beta)
         assert new.value.iterations == old.value.iterations == 7
