@@ -3,8 +3,9 @@
 Everything here is regarded as immutable after construction except
 :class:`GroupStructure`, the plain record of one point's groups that the
 structure reader, the grouped-Gram builder and the optimality check share.
-A traced path stores beta and the slope at its knots only, and
-:class:`KnotSegments` builds its segments on access.
+A solution path, traced or loaded, is its events plus its knots (beta and
+the slope where the slope changes); :class:`KnotSegments` builds its
+segments on access, and a path file stores the same events and knots.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ class PathEvent:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PathEvent":
-        return cls(kind=d["kind"], eta=d["eta"], g=d.get("g"), k=d.get("k"),
+        return cls(kind=d["kind"], eta=float(d["eta"]), g=d.get("g"), k=d.get("k"),
                    nnz=d.get("nnz"), n_groups=d.get("n_groups"))
 
 
@@ -205,7 +206,7 @@ class PathEvent:
 class PathSegment:
     """One linear piece beta(eta) = beta_start + (eta - eta_start) * slope.
 
-    A traced path builds its segments on access (:class:`KnotSegments`):
+    A path builds its segments on access (:class:`KnotSegments`):
     ``slope``, and ``beta_start`` where it is a stored knot, are the path's
     own arrays, shared by every segment built from them, so do not write
     to either."""
@@ -227,8 +228,8 @@ class PathSegment:
 
 
 class KnotSegments(Sequence):
-    """The segments of a traced path, read-only and built on access from
-    its knots.
+    """The segments of a path, traced or loaded by :func:`load_path`,
+    read-only and built on access from its knots.
 
     A knot holds beta and the slope at the start and after each fuse or
     split, the events that change the slope.  A switch only advances the
@@ -308,22 +309,15 @@ class KnotSegments(Sequence):
 class SolutionPath:
     """Ordered segments and events covering eta in [0, eta_max).
 
-    ``segments`` is a tuple for a path built from segments (:func:`load_path`)
-    and a :class:`KnotSegments` view for a traced one: the same segments,
-    byte for byte, with beta stored once per knot instead of once per event.
-    ``len(path.segments)`` is cheap there, and each indexed segment is
-    replayed from the segment built last, the one segment kept, or from
-    its nearest knot; iterating replays each event once."""
+    ``segments`` is a :class:`KnotSegments` view, for a traced path and a
+    loaded one alike: beta is stored once per knot, ``len(path.segments)``
+    is cheap, and each indexed segment is replayed from the segment built
+    last, the one segment kept, or from its nearest knot; iterating
+    replays each event once."""
 
-    segments: Sequence[PathSegment]
+    segments: KnotSegments
     events: tuple[PathEvent, ...]
     provenance: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        # segment starts for the binary search in eval_path, built once
-        starts = self.segments.starts if isinstance(self.segments, KnotSegments) \
-            else [seg.eta_start for seg in self.segments]
-        object.__setattr__(self, "_starts", starts)
 
     @property
     def eta_end(self) -> float:
@@ -465,7 +459,8 @@ def load_instance(csv_path) -> ProblemInstance:
 
     Raises :class:`ValidationError`, naming the file and the line, on a
     cell that is not a number or a row whose length differs from the
-    first row's."""
+    first row's, and naming the sidecar on one that is not a JSON object
+    or whose ridge is not a number."""
     csv_path = Path(csv_path)
     rows = []
     with csv_path.open() as fh:
@@ -494,90 +489,112 @@ def load_instance(csv_path) -> ProblemInstance:
     ridge = 0.0
     sidecar = Path(str(csv_path) + ".meta.json")
     if sidecar.exists():
-        ridge = float(json.loads(sidecar.read_text()).get("ridge", 0.0))
+        try:
+            meta = json.loads(sidecar.read_text())
+            if not isinstance(meta, dict):
+                raise ValidationError("not a JSON object")
+            ridge = float(meta.get("ridge", 0.0))
+        except (ValidationError, TypeError, ValueError) as exc:
+            raise ValidationError(f"{sidecar}: {exc}") from None
     return ProblemInstance(y=data[:, 0], X=data[:, 1:], ridge=ridge)
 
 
 def save_path(path: SolutionPath, jsonl_path) -> None:
-    """Write a path as JSON lines: a header record, then one record per
-    segment carrying its ending event and, in event order among them, an
-    event record for each event that ends no segment (one at eta = 0, or
-    a second event at a segment's end)."""
+    """Write a path as JSON lines: a header record with the provenance,
+    then each knot (its ``eta``, ``beta`` and ``slope``, leaving ``slope``
+    out where it is the previous knot's array) followed by the events
+    applied after it."""
+    segs, events = path.segments, path.events
     out = [json.dumps({"record": "header", "provenance": path.provenance})]
-    events = iter(path.events)
-    for idx, seg in enumerate(path.segments):
-        for event in events:
-            if event == seg.ending_event:
-                break
-            out.append(json.dumps({"record": "event", "event": event.to_dict()}))
-        rec = {
-            "record": "segment",
-            "index": idx,
-            "eta_start": seg.eta_start,
-            "eta_end": seg.eta_end,
-            "beta_start": seg.beta_start.tolist(),
-            "slope": seg.slope.tolist(),
-            "event": seg.ending_event.to_dict(),
-        }
-        out.append(json.dumps(rec))
-    out.extend(json.dumps({"record": "event", "event": event.to_dict()}) for event in events)
+    ends = (*segs._at[1:], len(events))
+    for k, (at, end, beta, slope) in enumerate(zip(segs._at, ends, segs._betas, segs._slopes)):
+        knot = {"record": "knot", "eta": segs._eta[k], "beta": beta.tolist()}
+        if not k or slope is not segs._slopes[k - 1]:
+            knot["slope"] = slope.tolist()
+        out.append(json.dumps(knot))
+        out.extend(json.dumps({"record": "event", "event": e.to_dict()}) for e in events[at:end])
     Path(jsonl_path).write_text("\n".join(out) + "\n")
 
 
+def _knot_vector(rec: dict, key: str, betas: list) -> np.ndarray:
+    """``rec[key]`` as a float vector as long as the first knot's beta."""
+    vec = np.array(rec[key], dtype=float)
+    if vec.ndim != 1:
+        raise ValidationError(f"{key} is not a list of numbers")
+    if betas and vec.size != betas[0].size:
+        raise ValidationError(f"{key} has {vec.size} entries, "
+                              f"the first knot's beta {betas[0].size}")
+    return vec
+
+
 def load_path(jsonl_path) -> SolutionPath:
-    """Read a path saved by :func:`save_path`.
+    """Read a path saved by :func:`save_path` into the form a traced path
+    has: a knot record without ``slope`` shares the previous knot's array.
 
     Raises :class:`ValidationError`, naming the file and the line, on a
-    line that is not JSON or a record that lacks a field it needs."""
+    line that is not a JSON object, a record that lacks a field it needs
+    or holds a value of the wrong type or length, an event before the
+    first knot, a first knot without ``slope``, and a ``segment`` record,
+    which only the old per-segment format wrote."""
     provenance: dict = {}
-    segments: list[PathSegment] = []
     events: list[PathEvent] = []
+    knot_at, knot_eta, betas, slopes = [], [], [], []
     with Path(jsonl_path).open() as fh:
         for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{jsonl_path}, line {line_no}: not JSON ({exc})") from None
-            if not isinstance(rec, dict):
-                raise ValidationError(f"{jsonl_path}, line {line_no}: not a JSON object")
-            if rec.get("record") == "header":
-                provenance = rec.get("provenance", {})
-                continue
             try:
-                event = PathEvent.from_dict(rec["event"])
-                if rec.get("record") != "event":
-                    segments.append(PathSegment(
-                        eta_start=rec["eta_start"],
-                        eta_end=rec["eta_end"],
-                        beta_start=np.asarray(rec["beta_start"], dtype=float),
-                        slope=np.asarray(rec["slope"], dtype=float),
-                        ending_event=event,
-                    ))
+                if not isinstance(rec, dict):
+                    raise ValidationError("not a JSON object")
+                kind = rec.get("record")
+                if kind == "event":
+                    if not isinstance(rec["event"], dict):
+                        raise ValidationError("the event is not a JSON object")
+                    events.append(PathEvent.from_dict(rec["event"]))
+                    if not betas:
+                        raise ValidationError("an event precedes the first knot")
+                elif kind == "knot":
+                    if not (slopes or "slope" in rec):
+                        raise ValidationError("the first knot has no slope")
+                    knot_at.append(len(events))
+                    knot_eta.append(float(rec["eta"]))
+                    betas.append(_knot_vector(rec, "beta", betas))
+                    slopes.append(_knot_vector(rec, "slope", betas) if "slope" in rec
+                                  else slopes[-1])
+                elif kind == "header":
+                    provenance = rec.get("provenance", {})
+                elif kind == "segment":
+                    raise ValidationError("a segment record: the file uses the old "
+                                          "per-segment format; trace the path again")
+                else:
+                    raise ValidationError(f"unknown record {kind!r}")
             except KeyError as exc:
                 raise ValidationError(f"{jsonl_path}, line {line_no}: "
                                       f"the record has no {exc} field") from None
-            events.append(event)
-    return SolutionPath(segments=tuple(segments), events=tuple(events),
-                        provenance=provenance)
+            except (ValidationError, TypeError, ValueError) as exc:
+                raise ValidationError(f"{jsonl_path}, line {line_no}: {exc}") from None
+    events = tuple(events)
+    return SolutionPath(segments=KnotSegments(events, knot_at, knot_eta, betas, slopes),
+                        events=events, provenance=provenance)
 
 
 def eval_path(path: SolutionPath, eta: float) -> np.ndarray:
-    """Coefficients at a parameter value, by binary search over segments.
+    """Coefficients at a parameter value, by binary search over the
+    segment starts.
 
     At a breakpoint the right segment's value is returned (equal to the
     left limit by continuity).
     """
-    if not path._starts:
+    starts = path.segments.starts
+    if not starts:
         raise OutOfRangeError("path has no segments")
     if not eta >= 0:  # NaN too
         raise OutOfRangeError(f"eta must be nonnegative, got {eta}")
-    idx = bisect.bisect_right(path._starts, eta) - 1
-    if idx < 0:
-        raise OutOfRangeError(f"eta={eta} precedes the path start")
-    seg = path.segments[idx]
+    seg = path.segments[bisect.bisect_right(starts, eta) - 1]
     if eta >= seg.eta_end:
         raise OutOfRangeError(f"eta={eta} is beyond the path horizon {seg.eta_end}")
     return seg.value(eta)

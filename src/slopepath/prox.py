@@ -141,11 +141,14 @@ def _lipschitz_estimate(instance: ProblemInstance) -> float:
 def _instance_lipschitz(instance: ProblemInstance) -> float:
     """:func:`_lipschitz_estimate`, computed once per instance and cached on
     it (as :func:`validate_instance` caches ``effective_rank``), after
-    :func:`check_instance_data`."""
+    :func:`check_instance_data`; raises :class:`NonFiniteError`, caching
+    nothing, when X^T X v overflows and the estimate is not finite."""
     est = instance.__dict__.get("lipschitz_estimate")
     if est is None:
         check_instance_data(instance)
         est = _lipschitz_estimate(instance)
+        if not math.isfinite(est):
+            raise NonFiniteError("X^T X overflows float64; rescale X")
         object.__setattr__(instance, "lipschitz_estimate", est)
     return est
 
@@ -162,7 +165,8 @@ def solve_slope(instance: ProblemInstance, weights, *,
     ``objective_history`` holds the objective before and after each
     iteration.  Raises :class:`ValidationError` on a ``stop_tolerance``
     that is not positive and on misshapen data or weights
-    (:class:`NonFiniteError` on non-finite ones), and
+    (:class:`NonFiniteError` on non-finite ones, and on X whose X^T X
+    overflows float64), and
     :class:`DidNotConvergeError` (carrying the best iterate) if the
     iteration cap is hit first, the step search breaks down (a NaN
     trial loss, or a step bound L that overflows), or the iteration

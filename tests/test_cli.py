@@ -228,6 +228,25 @@ class TestMalformedInput:
         assert code == 2
         assert "w.txt, line 2: not a number: 'x'" in err
 
+    @pytest.mark.parametrize("sidecar, message", [
+        ('{"ridge": ', "Expecting value"),
+        ('{"ridge": "abc"}', "could not convert string to float: 'abc'"),
+        ("[1]", "not a JSON object"),
+    ], ids=["not-json", "ridge-not-a-number", "not-object"])
+    def test_malformed_instance_sidecar(self, tmp_path, capsys, sidecar, message):
+        inst_file = tmp_path / "inst.csv"
+        assert run_cli(["simulate", "--scenario", "2", "--p", "4", "--n", "20",
+                        "--seed", "0", "--out", inst_file]) == 0
+        meta = tmp_path / "inst.csv.meta.json"
+        meta.write_text(sidecar)
+        out = tmp_path / "p.jsonl"
+        assert run_cli(["path", "--instance", inst_file, "--design", "qs",
+                        "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {meta}: ") and message in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["path", "solve"])
     def test_overflowing_gram(self, tmp_path, capsys, command):
         # X = 1e155 I: X^T X = 1e310 I overflows float64

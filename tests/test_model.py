@@ -34,7 +34,7 @@ from slopepath.errors import (
     ValidationError,
     ZeroDirectionError,
 )
-from slopepath.model import instance_hash, scatter_groups
+from slopepath.model import KnotSegments, instance_hash, scatter_groups
 
 
 class TestGroupStructure:
@@ -210,17 +210,35 @@ class TestSerialization:
         file = tmp_path / "path.jsonl"
         save_path(path, file)
         records = [json.loads(line)["record"] for line in file.read_text().splitlines()]
-        assert records == ["header", "segment", "event", "segment"]
+        assert records == ["header", "knot", "event", "knot", "event", "knot", "event"]
         back = load_path(file)
         assert back.events == path.events
         assert len(back.segments) == len(path.segments)
         assert path_metrics(back) == path_metrics(path) == (0.5, 0.5, 2)
 
     @pytest.mark.parametrize("bad_line, message", [
-        ('{"record": "segment", "eta_start": 0.0}', "line 2: the record has no 'event' field"),
+        ('{"record": "event"}', "line 2: the record has no 'event' field"),
         ('{"record": "segment"', "line 2: not JSON"),
         ('[1, 2]', "line 2: not a JSON object"),
-    ], ids=["no-event", "not-json", "not-object"])
+        ('{"record": "event", "event": 5}', "line 2: the event is not a JSON object"),
+        ('{"record": "event", "event": {"kind": "bounce", "eta": 1.0}}',
+         "line 2: unknown event kind 'bounce'"),
+        ('{"record": "event", "event": {"kind": "fuse", "eta": 1.0}}',
+         "line 2: an event precedes the first knot"),
+        ('{"record": "knot", "eta": 0.0, "beta": [3.0, 1.0]}',
+         "line 2: the first knot has no slope"),
+        ('{"record": "knot", "eta": 0.0, "beta": 3.0, "slope": [0.0, 0.0]}',
+         "line 2: beta is not a list of numbers"),
+        ('{"record": "knot", "eta": 0.0, "beta": [3.0, 1.0], "slope": [0.0]}',
+         "line 2: slope has 1 entries, the first knot's beta 2"),
+        ('{"record": "knot", "eta": 0.0, "beta": [3.0, 1.0, 0.0], "slope": [0.0, 0.0, 0.0]}',
+         "line 3: beta has 2 entries, the first knot's beta 3"),
+        ('{"record": "segment", "eta_start": 0.0}',
+         "line 2: a segment record: the file uses the old per-segment format"),
+        ('{"record": "knots"}', "line 2: unknown record 'knots'"),
+    ], ids=["no-event", "not-json", "not-object", "event-not-object", "unknown-kind",
+            "event-before-knot", "first-knot-no-slope", "beta-not-list", "short-slope",
+            "long-first-beta", "old-segment-format", "unknown-record"])
     def test_malformed_path_file(self, tmp_path, t2_instance, t2_ray, bad_line, message):
         file = tmp_path / "path.jsonl"
         save_path(run_path(t2_instance, t2_ray), file)
@@ -293,16 +311,15 @@ class TestEvalPath:
 
     def test_out_of_range_messages(self):
         end = PathEvent(kind="terminate", eta=3.0)
-        path = SolutionPath(segments=(PathSegment(1.0, 3.0, np.ones(1), np.zeros(1), end),),
-                            events=(end,))
+        segments = KnotSegments((end,), [0], [0.0], [np.ones(1)], [np.zeros(1)])
+        path = SolutionPath(segments=segments, events=(end,))
         for eta, message in [(-0.5, "eta must be nonnegative, got -0.5"),
                              (math.nan, "eta must be nonnegative, got nan"),
-                             (0.5, "eta=0.5 precedes the path start"),
                              (3.0, "eta=3.0 is beyond the path horizon 3.0")]:
             with pytest.raises(OutOfRangeError, match=re.escape(message)):
                 eval_path(path, eta)
         with pytest.raises(OutOfRangeError, match="path has no segments"):
-            eval_path(SolutionPath(segments=(), events=()), 0.0)
+            eval_path(SolutionPath(segments=KnotSegments((), [], [], [], []), events=()), 0.0)
 
     def test_matches_segment_scan(self, tmp_path):
         inst, _ = generate(ScenarioSpec(scenario=1, p=10, n=50, seed=4))

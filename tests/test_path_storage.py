@@ -19,9 +19,9 @@ from slopepath import (
     PathOptions,
     PathSegment,
     ProblemInstance,
-    SolutionPath,
     WeightRay,
     eval_path,
+    load_path,
     run_path,
     save_path,
     validate_instance,
@@ -88,29 +88,38 @@ def _shares(segments):
 
 def assert_identical(path, eager, tmp_path):
     """Every event, every segment (by iteration and by index), the slope
-    sharing, the JSONL text and eval_path at each segment start and
-    midpoint equal the eager recording, bit for bit."""
+    sharing and eval_path at each segment start and midpoint equal the
+    eager recording, bit for bit, on the traced path and on the path read
+    back from its file.  The file holds one knot record per stored knot,
+    the loaded path keeps the provenance, and saving it again writes the
+    same bytes."""
     segments, events = eager
-    assert [_event_key(e) for e in path.events] == [_event_key(e) for e in events]
-    want = [_segment_key(s) for s in segments]
-    assert len(path.segments) == len(want)
-    iterated = list(path.segments)
-    indexed = [path.segments[i] for i in range(len(path.segments))]
-    assert [_segment_key(s) for s in iterated] == want
-    assert [_segment_key(s) for s in indexed] == want
-    assert _shares(iterated) == _shares(indexed) == _shares(segments)
+    file = tmp_path / "path.jsonl"
+    save_path(path, file)
+    records = [json.loads(line)["record"] for line in file.read_text().splitlines()]
+    assert records.count("knot") == path.provenance["diagnostics"]["stored_knots"]
+    loaded = load_path(file)
+    assert loaded.provenance == path.provenance
+    save_path(loaded, tmp_path / "again.jsonl")
+    assert (tmp_path / "again.jsonl").read_bytes() == file.read_bytes()
 
-    reference = SolutionPath(segments=tuple(segments), events=tuple(events),
-                             provenance=path.provenance)
-    save_path(path, tmp_path / "knots.jsonl")
-    save_path(reference, tmp_path / "eager.jsonl")
-    assert (tmp_path / "knots.jsonl").read_bytes() == (tmp_path / "eager.jsonl").read_bytes()
+    want = [_segment_key(s) for s in segments]
+    for read in (path, loaded):
+        assert [_event_key(e) for e in read.events] == [_event_key(e) for e in events]
+        assert len(read.segments) == len(want)
+        iterated = list(read.segments)
+        indexed = [read.segments[i] for i in range(len(read.segments))]
+        assert [_segment_key(s) for s in iterated] == want
+        assert [_segment_key(s) for s in indexed] == want
+        assert _shares(iterated) == _shares(indexed) == _shares(segments)
 
     for seg in segments:
         mid = 0.5 * (seg.eta_start + seg.eta_end) if math.isfinite(seg.eta_end) \
             else seg.eta_start + 1.0
         for eta in (seg.eta_start, mid):
-            assert np.array_equal(_bits(eval_path(path, eta)), _bits(eval_path(reference, eta)))
+            value = _bits(seg.value(eta))
+            assert np.array_equal(_bits(eval_path(path, eta)), value)
+            assert np.array_equal(_bits(eval_path(loaded, eta)), value)
 
 
 def _check(instance, ray, tmp_path, options=None):
@@ -236,6 +245,21 @@ class TestKnotSegments:
         with pytest.raises(ValueError):
             seg.beta_start[0] = 1.0
 
+    def test_loaded_path_shares_slopes_where_the_traced_one_does(self, tmp_path):
+        path = self._path()
+        save_path(path, tmp_path / "path.jsonl")
+        loaded = load_path(tmp_path / "path.jsonl")
+        traced, knots = path.segments, loaded.segments
+        assert type(knots) is type(traced)
+        assert knots._at == traced._at
+        assert [a is b for a, b in zip(knots._slopes, knots._slopes[1:])] \
+            == [a is b for a, b in zip(traced._slopes, traced._slopes[1:])]
+        shares = _shares(list(knots))
+        assert shares == _shares(list(traced)) and any(shares) and not all(shares)
+        for a in (*knots._betas, *knots._slopes):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
     def test_length_and_starts_build_no_segment(self, monkeypatch):
         path = self._path()
 
@@ -243,8 +267,9 @@ class TestKnotSegments:
             raise AssertionError("a segment was built")
 
         monkeypatch.setattr(type(path.segments), "_segment", fail)
-        assert len(path.segments) == len(path._starts) > 20
-        assert list(path._starts) == sorted(path._starts)
+        starts = path.segments.starts
+        assert len(path.segments) == len(starts) > 20
+        assert list(starts) == sorted(starts)
 
 
 class TestZeroLevelKnots:
@@ -280,6 +305,11 @@ class TestZeroLevelKnots:
         path = _check(inst, ray, tmp_path)
         structural = sum(e.kind in STRUCTURAL for e in path.events)
         assert len(planted) == 2
+        # such a knot shares the slope, so its record leaves the slope out
+        slopes = path.segments._slopes
+        shared = sum(a is b for a, b in zip(slopes, slopes[1:]))
+        records = map(json.loads, (tmp_path / "path.jsonl").read_text().splitlines())
+        assert sum(r["record"] == "knot" and "slope" not in r for r in records) == shared > 0
         assert path.provenance["diagnostics"]["stored_knots"] > 1 + structural
 
 

@@ -165,22 +165,30 @@ class TestSolverInputChecks:
         with pytest.raises(ValidationError, match=message):
             solve_slope(ProblemInstance(y=y, X=np.eye(3), ridge=ridge), [0.0, 0.5, 1.0])
 
-    @pytest.mark.parametrize("estimate", [None, 1.0], ids=["power", "backtracking"])
-    def test_overflowing_losses_stop_the_step_search(self, estimate, monkeypatch):
-        # finite data whose losses overflow: the trial loss is NaN at once,
-        # whether L starts from the power estimate (nan here) or from a
-        # finite bound that the search doubles
-        if estimate is not None:
-            monkeypatch.setattr(prox, "_lipschitz_estimate", lambda instance: estimate)
-        X = np.array([[1e300, 1e300], [1e300, -1e300]])
-        inst = ProblemInstance(y=[1e300, -1e300], X=X)
+    @pytest.mark.parametrize("estimate, X", [
+        (None, [[1e300, 1e300], [1e300, -1e300]]),
+        (1.0, [[1e300, 1e300], [1e300, -1e300]]),
+        (None, [[1e155, 0.0], [0.0, 1e155]]),
+    ], ids=["power", "backtracking", "power-1e155"])
+    def test_overflowing_losses_stop_the_step_search(self, estimate, X, monkeypatch):
+        # finite data whose X^T X v overflows float64 (X^T X = 1e310 I for
+        # X = 1e155 I): the power estimate is not finite, so the solve stops
+        # before its first step and caches no estimate; from a finite start
+        # bound that the search doubles, the trial loss is NaN at once
+        inst = ProblemInstance(y=[1e300, -1e300], X=np.array(X))
+        if estimate is None:
+            with np.errstate(all="ignore"), \
+                    pytest.raises(NonFiniteError, match=r"X\^T X overflows float64; rescale X"):
+                solve_slope(inst, [0.0, 1.0])
+            assert "lipschitz_estimate" not in inst.__dict__
+            return
+        monkeypatch.setattr(prox, "_lipschitz_estimate", lambda instance: estimate)
         with np.errstate(all="ignore"), pytest.raises(DidNotConvergeError) as info:
             solve_slope(inst, [0.0, 1.0])
         assert info.value.beta.tolist() == [0.0, 0.0]
         assert info.value.iterations == 1
         assert "step search broke down" in str(info.value)
-        if estimate is not None:
-            assert "(trial loss nan, L = 2.1)" in str(info.value)
+        assert "(trial loss nan, L = 2.1)" in str(info.value)
 
     @pytest.mark.parametrize("scale", [1e100, 1e10])
     def test_badly_scaled_data_stalls_fast(self, scale):
