@@ -20,6 +20,12 @@ libm calls (log, exp, erfc from :mod:`math`), so every draw is bit-identical
 to the element-at-a-time recipe that the stored benchmark paths were traced
 on.  It is called through this module's global name, where a tracer can
 wrap it.
+
+X is allocated once and filled in row blocks of ``_QUANTILE_CHUNK // p``
+rows (at least one), so the temporaries beside it are one block's worth,
+not several copies of X.  The blocks draw from the same stream in the same
+order, and the quantile map and the mixing are elementwise, so X, y and
+beta are byte-identical to the whole-array (and element-at-a-time) recipe.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import numpy as np
 
 from .errors import OddDimensionError, ValidationError
 from .model import ProblemInstance
-from .weights import normal_quantile
+from .weights import _QUANTILE_CHUNK, normal_quantile
 
 __all__ = ["ScenarioSpec", "generate", "STREAMS"]
 
@@ -81,6 +87,9 @@ def generate(spec: ScenarioSpec) -> tuple[ProblemInstance, np.ndarray]:
     output.
     """
     p, n = spec.p, spec.n
+    X = np.empty((n, p))
+    gen = _stream(spec.seed, "X")
+    rows = max(1, _QUANTILE_CHUNK // p)  # one quantile chunk per block
     if spec.scenario == 1:
         half = p // 2
         theta = _standard_normal(_stream(spec.seed, "theta"), half)
@@ -90,14 +99,17 @@ def generate(spec: ScenarioSpec) -> tuple[ProblemInstance, np.ndarray]:
         a = 0.5 * (np.sqrt(1.0 + _RHO) + np.sqrt(1.0 - _RHO))
         b = 0.5 * (np.sqrt(1.0 + _RHO) - np.sqrt(1.0 - _RHO))
         scale = n ** (-0.25)  # sqrt of the 1/sqrt(n) variance factor
-        z = _standard_normal(_stream(spec.seed, "X"), (n, p))
-        z1, z2 = z[:, :half], z[:, half:]
-        X = np.empty((n, p))
-        X[:, :half] = scale * (a * z1 + b * z2)
-        X[:, half:] = scale * (b * z1 + a * z2)
+        for lo in range(0, n, rows):
+            block = X[lo:lo + rows]
+            z = _standard_normal(gen, block.shape)
+            z1, z2 = z[:, :half], z[:, half:]
+            block[:, :half] = scale * (a * z1 + b * z2)
+            block[:, half:] = scale * (b * z1 + a * z2)
     else:
         beta = _stream(spec.seed, "beta").integers(-2, 3, size=p).astype(float)
-        X = _stream(spec.seed, "X").integers(-1, 2, size=(n, p)).astype(float)
+        for lo in range(0, n, rows):
+            block = X[lo:lo + rows]
+            block[...] = gen.integers(-1, 2, size=block.shape)
 
     e = _standard_normal(_stream(spec.seed, "noise"), n)
     y = X @ beta + e

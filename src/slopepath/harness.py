@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -171,6 +170,9 @@ def run_experiment(scenario: int, sizes, designs, replicates: int,
         seeds = tuple(seed_base + r for r in range(replicates))
         jobs = [(scenario, p, n, seed, designs, params) for seed in seeds]
         if threads > 1:
+            # imported here: it pulls in multiprocessing, which a serial
+            # run (and a plain import of the package) never needs
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 raw = list(pool.map(_one_replicate, jobs))
         else:

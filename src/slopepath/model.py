@@ -441,13 +441,14 @@ def _format_float(x: float) -> str:
 def save_instance(instance: ProblemInstance, csv_path, metadata: dict | None = None) -> None:
     """Write an instance as CSV (a header row, then column 1 = y and the
     rest = X) plus a JSON sidecar ``<csv_path>.meta.json`` holding ridge and
-    metadata."""
+    metadata.  Rows go to the file one at a time, so the text is never
+    held whole."""
     csv_path = Path(csv_path)
-    lines = [",".join(["y"] + [f"x{j + 1}" for j in range(instance.p)])]
-    for i in range(instance.n):
-        row = [instance.y[i]] + list(instance.X[i])
-        lines.append(",".join(_format_float(v) for v in row))
-    csv_path.write_text("\n".join(lines) + "\n")
+    with csv_path.open("w") as fh:
+        fh.write(",".join(["y"] + [f"x{j + 1}" for j in range(instance.p)]) + "\n")
+        for i in range(instance.n):
+            row = [instance.y[i]] + list(instance.X[i])
+            fh.write(",".join(_format_float(v) for v in row) + "\n")
     sidecar = {"ridge": instance.ridge}
     if metadata:
         sidecar["metadata"] = metadata
@@ -503,17 +504,19 @@ def save_path(path: SolutionPath, jsonl_path) -> None:
     """Write a path as JSON lines: a header record with the provenance,
     then each knot (its ``eta``, ``beta`` and ``slope``, leaving ``slope``
     out where it is the previous knot's array) followed by the events
-    applied after it."""
+    applied after it, writing each record as it is formed."""
     segs, events = path.segments, path.events
-    out = [json.dumps({"record": "header", "provenance": path.provenance})]
     ends = (*segs._at[1:], len(events))
-    for k, (at, end, beta, slope) in enumerate(zip(segs._at, ends, segs._betas, segs._slopes)):
-        knot = {"record": "knot", "eta": segs._eta[k], "beta": beta.tolist()}
-        if not k or slope is not segs._slopes[k - 1]:
-            knot["slope"] = slope.tolist()
-        out.append(json.dumps(knot))
-        out.extend(json.dumps({"record": "event", "event": e.to_dict()}) for e in events[at:end])
-    Path(jsonl_path).write_text("\n".join(out) + "\n")
+    knots = zip(segs._at, ends, segs._betas, segs._slopes)
+    with Path(jsonl_path).open("w") as fh:
+        fh.write(json.dumps({"record": "header", "provenance": path.provenance}) + "\n")
+        for k, (at, end, beta, slope) in enumerate(knots):
+            knot = {"record": "knot", "eta": segs._eta[k], "beta": beta.tolist()}
+            if not k or slope is not segs._slopes[k - 1]:
+                knot["slope"] = slope.tolist()
+            fh.write(json.dumps(knot) + "\n")
+            for e in events[at:end]:
+                fh.write(json.dumps({"record": "event", "event": e.to_dict()}) + "\n")
 
 
 def _knot_vector(rec: dict, key: str, betas: list) -> np.ndarray:
@@ -521,6 +524,8 @@ def _knot_vector(rec: dict, key: str, betas: list) -> np.ndarray:
     vec = np.array(rec[key], dtype=float)
     if vec.ndim != 1:
         raise ValidationError(f"{key} is not a list of numbers")
+    if not np.isfinite(vec).all():  # a null reads as NaN
+        raise ValidationError(f"{key} holds a null or non-finite entry")
     if betas and vec.size != betas[0].size:
         raise ValidationError(f"{key} has {vec.size} entries, "
                               f"the first knot's beta {betas[0].size}")
@@ -533,8 +538,8 @@ def load_path(jsonl_path) -> SolutionPath:
 
     Raises :class:`ValidationError`, naming the file and the line, on a
     line that is not a JSON object, a record that lacks a field it needs
-    or holds a value of the wrong type or length, an event before the
-    first knot, a first knot without ``slope``, and a ``segment`` record,
+    or holds a value of the wrong type or length, a null or non-finite
+    entry in a knot's ``beta`` or ``slope``, an event before the first knot, a first knot without ``slope``, and a ``segment`` record,
     which only the old per-segment format wrote."""
     provenance: dict = {}
     events: list[PathEvent] = []

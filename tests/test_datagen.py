@@ -1,11 +1,14 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from slopepath import ScenarioSpec, generate
+from slopepath.datagen import _stream
 from slopepath.errors import OddDimensionError, ValidationError
 from slopepath.model import instance_hash
+from slopepath.weights import _QUANTILE_CHUNK, normal_quantile
 
 
 class TestScenarioOne:
@@ -83,3 +86,65 @@ class TestDeterminism:
     def test_invalid_scenario(self):
         with pytest.raises(ValidationError):
             ScenarioSpec(scenario=3, p=4, n=10, seed=0)
+
+
+def _generate_whole(spec):
+    """``generate`` as it was when it drew X as one whole array: the
+    reference for the row-block generator's bytes."""
+    def standard_normal(gen, size):
+        u = (gen.integers(0, 1 << 53, size=size).astype(float) + 0.5) / float(1 << 53)
+        return normal_quantile(u)
+
+    p, n = spec.p, spec.n
+    if spec.scenario == 1:
+        half = p // 2
+        theta = standard_normal(_stream(spec.seed, "theta"), half)
+        beta = np.concatenate((theta, -theta))
+        a = 0.5 * (np.sqrt(1.0 + 0.8) + np.sqrt(1.0 - 0.8))
+        b = 0.5 * (np.sqrt(1.0 + 0.8) - np.sqrt(1.0 - 0.8))
+        scale = n ** (-0.25)
+        z = standard_normal(_stream(spec.seed, "X"), (n, p))
+        z1, z2 = z[:, :half], z[:, half:]
+        X = np.empty((n, p))
+        X[:, :half] = scale * (a * z1 + b * z2)
+        X[:, half:] = scale * (b * z1 + a * z2)
+    else:
+        beta = _stream(spec.seed, "beta").integers(-2, 3, size=p).astype(float)
+        X = _stream(spec.seed, "X").integers(-1, 2, size=(n, p)).astype(float)
+    e = standard_normal(_stream(spec.seed, "noise"), n)
+    return X, X @ beta + e, beta
+
+
+def _block_edges(p):
+    """Row counts around the block of ``generate``: one row, one short of
+    a block, a block, one over, and a ragged last block."""
+    rows = max(1, _QUANTILE_CHUNK // p)
+    return sorted({n for n in (1, rows - 1, rows, rows + 1, 3 * rows + 5) if n >= 1})
+
+
+class TestRowBlocks:
+    # p = 16386 makes a block of one row
+    @pytest.mark.parametrize("scenario, p, n", [
+        (scenario, p, n)
+        for scenario, ps in ((1, (2, 80, 16386)), (2, (1, 7, 20)))
+        for p in ps for n in _block_edges(p)])
+    def test_bytes_equal_the_whole_array_draw(self, scenario, p, n):
+        spec = ScenarioSpec(scenario=scenario, p=p, n=n, seed=11)
+        inst, beta = generate(spec)
+        for got, want in zip((inst.X, inst.y, beta), _generate_whole(spec)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spec, bound", [
+        (ScenarioSpec(scenario=1, p=80, n=8000, seed=2000), 2.0),
+        (ScenarioSpec(scenario=2, p=80, n=8000, seed=1), 1.5),
+    ], ids=["scenario1", "scenario2"])
+    def test_peak_memory_is_about_x(self, spec, bound):
+        # the whole-array draw peaked at 3.0x (scenario 1) and 2.0x
+        # (scenario 2) X's bytes; the blocks leave X plus one block
+        tracemalloc.start()
+        try:
+            inst, _ = generate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * inst.X.nbytes

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import slopepath
 from slopepath import (
     ProblemInstance,
     WeightRay,
@@ -63,6 +69,18 @@ class TestRunExperiment:
         serial = run_experiment(threads=1, **kwargs).to_json()
         parallel = run_experiment(threads=2, **kwargs).to_json()
         assert serial == parallel
+
+    def test_import_leaves_out_multiprocessing(self):
+        # only a parallel run_experiment needs the process pool
+        src = str(Path(slopepath.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        code = ("import sys, slopepath; "
+                "print([m for m in ('concurrent.futures', 'multiprocessing') "
+                "if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "[]"
 
     def test_table_output_mentions_convention(self):
         report = run_experiment(scenario=2, sizes=[(4, 24)], designs=["qs"],

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,7 +145,56 @@ class TestValidateRay:
         assert ray.eta_max == pytest.approx(1.0)
 
 
+def _save_instance_joined(instance, csv_path, metadata=None):
+    """``save_instance`` as it was when it joined the whole CSV text in
+    memory before writing: the reference for the row-by-row writer's bytes."""
+    csv_path = Path(csv_path)
+    lines = [",".join(["y"] + [f"x{j + 1}" for j in range(instance.p)])]
+    for i in range(instance.n):
+        row = [instance.y[i]] + list(instance.X[i])
+        lines.append(",".join(repr(float(v)) for v in row))
+    csv_path.write_text("\n".join(lines) + "\n")
+    sidecar = {"ridge": instance.ridge}
+    if metadata:
+        sidecar["metadata"] = metadata
+    Path(str(csv_path) + ".meta.json").write_text(json.dumps(sidecar, indent=2) + "\n")
+
+
+def _save_path_joined(path, jsonl_path):
+    """``save_path`` as it was when it joined the whole JSONL text in
+    memory before writing: the reference for the record-by-record writer."""
+    segs, events = path.segments, path.events
+    out = [json.dumps({"record": "header", "provenance": path.provenance})]
+    ends = (*segs._at[1:], len(events))
+    for k, (at, end, beta, slope) in enumerate(zip(segs._at, ends, segs._betas, segs._slopes)):
+        knot = {"record": "knot", "eta": segs._eta[k], "beta": beta.tolist()}
+        if not k or slope is not segs._slopes[k - 1]:
+            knot["slope"] = slope.tolist()
+        out.append(json.dumps(knot))
+        out.extend(json.dumps({"record": "event", "event": e.to_dict()}) for e in events[at:end])
+    Path(jsonl_path).write_text("\n".join(out) + "\n")
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("scenario, p", [(1, 6), (2, 5)])
+    @pytest.mark.parametrize("metadata", [None, {"scenario": 2, "note": "bytes"}],
+                             ids=["no-metadata", "metadata"])
+    def test_instance_writer_bytes_unchanged(self, tmp_path, scenario, p, metadata):
+        inst, _ = generate(ScenarioSpec(scenario=scenario, p=p, n=40, seed=7))
+        inst = ProblemInstance(y=inst.y, X=inst.X, ridge=0.125)
+        save_instance(inst, tmp_path / "new.csv", metadata)
+        _save_instance_joined(inst, tmp_path / "old.csv", metadata)
+        for suffix in ("", ".meta.json"):
+            assert (tmp_path / f"new.csv{suffix}").read_bytes() \
+                == (tmp_path / f"old.csv{suffix}").read_bytes()
+
+    def test_path_writer_bytes_unchanged(self, tmp_path):
+        inst, _ = generate(ScenarioSpec(scenario=2, p=8, n=30, seed=3))
+        path = run_path(inst, validate_ray(np.zeros(8), bh_sequence(8, 0.1)))
+        save_path(path, tmp_path / "new.jsonl")
+        _save_path_joined(path, tmp_path / "old.jsonl")
+        assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
+
     def test_instance_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         inst = ProblemInstance(y=rng.standard_normal(5),
@@ -233,12 +283,17 @@ class TestSerialization:
          "line 2: slope has 1 entries, the first knot's beta 2"),
         ('{"record": "knot", "eta": 0.0, "beta": [3.0, 1.0, 0.0], "slope": [0.0, 0.0, 0.0]}',
          "line 3: beta has 2 entries, the first knot's beta 3"),
+        ('{"record": "knot", "eta": 0.0, "beta": [null, 1.0], "slope": [0.0, 0.0]}',
+         "line 2: beta holds a null or non-finite entry"),
+        ('{"record": "knot", "eta": 0.0, "beta": [3.0, 1.0], "slope": [0.0, null]}',
+         "line 2: slope holds a null or non-finite entry"),
         ('{"record": "segment", "eta_start": 0.0}',
          "line 2: a segment record: the file uses the old per-segment format"),
         ('{"record": "knots"}', "line 2: unknown record 'knots'"),
     ], ids=["no-event", "not-json", "not-object", "event-not-object", "unknown-kind",
             "event-before-knot", "first-knot-no-slope", "beta-not-list", "short-slope",
-            "long-first-beta", "old-segment-format", "unknown-record"])
+            "long-first-beta", "null-beta", "null-slope", "old-segment-format",
+            "unknown-record"])
     def test_malformed_path_file(self, tmp_path, t2_instance, t2_ray, bad_line, message):
         file = tmp_path / "path.jsonl"
         save_path(run_path(t2_instance, t2_ray), file)
