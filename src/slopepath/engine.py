@@ -9,18 +9,19 @@ eta within one structure:
     levels(eta) = Ainv (S^T X^T y - lamG(eta)),   d levels / d eta = -Ainv lamG_bar
 
 where Ainv is the inverse of A = XG^T XG plus the ridge-size diagonal and
-the only form of A held.  The gradient terms c = X^T y - G beta and
-d = G slope come from G = X^T X and X^T y, formed once per run and read on
-the nonzero coordinates only (O(p * nnz) per refresh).  A group entering
-Ainv borders it with the cross products of its column X S_k, read from X
-(O(n p)) only the first time the group forms in the run and memoized
-after that; group columns gather their members from a column-major copy
-of X, which gives the same bits as strided columns of X, faster.  One
-function builds the grouped system (S^T X^T y, A) from scratch, for
-:func:`segment_solution` and for the one method that inverts it: at the
-start, when a bordered insert or the probe after it fails, and to check
-the cached inverse.  Three event families end a segment: adjacent group
-values colliding (fuse, including a group hitting zero), a grouped
+the only form of A held.  The gradient terms c = X^T y - G beta and d = G
+slope come from G = X^T X and X^T y, the instance's ``gram`` and ``xty``,
+formed once for all its paths and read on the nonzero coordinates only
+(O(p * nnz) per refresh).  A group entering Ainv borders it with the cross
+products of its column X S_k, read from X (O(n p)) only the first time the
+group forms in the run and memoized after that.  A group column is summed
+member by member from the contiguous columns of a column-major copy of X,
+with the bits of a sum over the gathered n x k block, which it never
+forms.  One function builds the grouped system (S^T X^T y, A) from
+scratch, for :func:`segment_solution` and for the one method that inverts
+it: at the start, when a bordered insert or the probe after it fails, and
+to check the cached inverse.  Three event families end a segment: adjacent
+group values colliding (fuse, including a group hitting zero), a grouped
 inequality margin reaching zero (split, including activations out of the
 zero group), and the within-group gradient order or the leading
 zero-coordinate gradient sign changing (switches).  Event times are
@@ -123,7 +124,21 @@ def _group_ydot(Xty: np.ndarray, signs: np.ndarray, members: np.ndarray) -> floa
 
 
 def _group_column(X: np.ndarray, signs: np.ndarray, members: np.ndarray) -> np.ndarray:
-    return -(X[:, members] * signs[members]).sum(axis=1)
+    """-sum s_i x_i over ``members``: each column added to zeros or
+    subtracted, in member order, and the sum negated in place.  Those are
+    the bits of the gathered, signed n x k block summed along its rows,
+    formed one column at a time with no n x k temporary; columns are
+    contiguous in a column-major X.  A one-row X keeps the block sum,
+    which numpy forms pairwise when the row is contiguous."""
+    if X.shape[0] == 1:
+        return -(X[:, members] * signs[members]).sum(axis=1)
+    col = np.zeros(X.shape[0])
+    for i in members.tolist():
+        if signs.item(i) > 0:
+            col += X[:, i]
+        else:
+            col -= X[:, i]
+    return np.negative(col, out=col)
 
 
 def _grouped_system(order: np.ndarray, starts: np.ndarray, signs: np.ndarray, X: np.ndarray,
@@ -131,9 +146,11 @@ def _grouped_system(order: np.ndarray, starts: np.ndarray, signs: np.ndarray, X:
     """From-scratch (XG^T y, A) with A = XG^T XG + ridge * diag(sizes) for
     the nonzero groups order[starts[j]:starts[j + 1]]; column j of XG is
     sum_{i in G_j} sign(beta_i) x_i, which the stored convention writes
-    -sum s_i x_i.  No nonzero group gives a 0 x 0 system."""
+    -sum s_i x_i.  XG is column-major, so each column is written
+    contiguously; XG^T XG has the bits the row-major layout gave.  No
+    nonzero group gives a 0 x 0 system."""
     m = starts.size - 1
-    XG, XGty = np.empty((X.shape[0], m)), np.empty(m)
+    XG, XGty = np.empty((X.shape[0], m), order="F"), np.empty(m)
     for j in range(m):
         members = order[starts[j]:starts[j + 1]]
         XG[:, j] = _group_column(X, signs, members)
@@ -161,7 +178,7 @@ def segment_solution(structure: GroupStructure, instance: ProblemInstance,
     A = XG^T XG + ridge * diag(group sizes).
     """
     XGty, A = _grouped_system(structure.order, structure.offsets, structure.signs, instance.X,
-                              instance.X.T @ instance.y, instance.ridge)
+                              instance.xty, instance.ridge)
     lam0g, lambarg = _grouped_weight_sums(_prefix_sums(ray.lam0),
                                           _prefix_sums(ray.lam_bar), structure.offsets)
     return np.linalg.solve(A, XGty - lam0g - eta * lambarg), -np.linalg.solve(A, lambarg)
@@ -212,13 +229,13 @@ class EngineState:
     values; ``inf`` marks an event that cannot happen under the current
     structure.
 
-    ``G`` = X^T X (without the ridge) is the one :func:`validate_instance`
-    cached on the instance, formed here only for an instance never
-    validated; with ``Xty`` = X^T y it gives the start at lam0.  ``_XF`` is
-    a column-major copy of X, one more n x p array per live state, from
-    which every group column is gathered.  ``_cross`` memoizes the insert
-    cross products per (ordered members, signs), at most n entries, oldest
-    evicted first, so it never holds more floats than X.
+    ``G`` = X^T X (without the ridge) and ``Xty`` = X^T y are the
+    instance's own ``gram`` and ``xty``, formed once per instance however
+    many paths it traces; they give the start at lam0.  ``_XF`` is a
+    column-major copy of X, one more n x p array per live state, from whose
+    contiguous columns every group column is summed.  ``_cross`` memoizes
+    the insert cross products per (ordered members, signs), at most n
+    entries, oldest evicted first, so it never holds more floats than X.
     :meth:`_scratch_system` builds ``Ainv`` and ``XGty`` = S^T Xty from
     scratch.  ``fuse_t``, ``switch_t`` and ``split_t`` are views of one
     array of event times.
@@ -231,12 +248,14 @@ class EngineState:
         self.X = instance.X
         self.ridge = instance.ridge
         self.p = instance.p
-        self.G = instance.__dict__.get("gram")
-        if self.G is None:
-            self.G = self.X.T @ self.X
-        self.Xty = self.X.T @ instance.y
+        self.G = instance.gram
+        self.Xty = instance.xty
         self._XF = np.asfortranarray(self.X)
-        beta0 = _initial_beta(instance, ray, self.G, self.Xty)
+        if np.any(ray.lam0 != 0):
+            beta0 = solve_slope(instance, ray.lam0).beta
+        else:
+            G = self.G + self.ridge * np.eye(self.p) if self.ridge else self.G
+            beta0 = np.linalg.solve(G, self.Xty)
         self.min_schur_ratio: float | None = None
         self.cum0 = _prefix_sums(ray.lam0)
         self.cumbar = _prefix_sums(ray.lam_bar)
@@ -402,9 +421,7 @@ class EngineState:
         """(X^T x, x . x) for the group column x of ``members`` (in order)
         under the current signs, memoized for the run: the same bits as a
         fresh pass over X, which only a group not seen before pays.  x is
-        gathered from the column-major copy: numpy lays out X[:, members]
-        column-major from either copy, so x sums the same products in the
-        same order."""
+        summed from the column-major copy (:func:`_group_column`)."""
         key = (members.tobytes(), self.s[members].tobytes())
         hit = self._cross.get(key)
         if hit is not None:
@@ -782,15 +799,6 @@ def _earliest(times: np.ndarray) -> tuple[float, int]:
 
 
 # --- the path driver --------------------------------------------------------
-
-
-def _initial_beta(instance: ProblemInstance, ray: WeightRay,
-                  G: np.ndarray, Xty: np.ndarray) -> np.ndarray:
-    if np.any(ray.lam0 != 0):
-        return solve_slope(instance, ray.lam0).beta
-    if instance.ridge:
-        G = G + instance.ridge * np.eye(instance.p)
-    return np.linalg.solve(G, Xty)
 
 
 def run_path(instance: ProblemInstance, ray: WeightRay,

@@ -17,6 +17,7 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
@@ -59,6 +60,9 @@ class ProblemInstance:
 
     The loss is 0.5 ||y - X beta||^2 + 0.5 * ridge * ||beta||^2; a positive
     ridge makes rank-deficient designs usable by the path engine.
+
+    Immutable by contract; what is derived from the data is a ``cached_property``,
+    formed on first use, kept unless it raised, and not shared with a fresh copy.
     """
 
     y: np.ndarray
@@ -77,6 +81,52 @@ class ProblemInstance:
     @property
     def p(self) -> int:
         return self.X.shape[1]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """X^T X without the ridge, read-only."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = self.X.T @ self.X
+        gram.flags.writeable = False
+        return gram
+
+    @cached_property
+    def xty(self) -> np.ndarray:
+        """X^T y, read-only."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            xty = self.X.T @ self.y
+        xty.flags.writeable = False
+        return xty
+
+    @cached_property
+    def effective_rank(self) -> int:
+        """Eigenvalues of X^T X + ridge I above the singularity tolerance: the verdict."""
+        gram = self.gram + self.ridge * np.eye(self.p)
+        if not np.isfinite(gram).all():
+            raise NonFiniteError("the Gram matrix X^T X + ridge I overflows float64; rescale X")
+        if not np.isfinite(self.xty).all():
+            raise NonFiniteError("X^T y overflows float64; rescale y or X")
+        eigvals = np.linalg.eigvalsh(gram)
+        tol = SINGULARITY_RTOL * max(float(np.max(np.diag(gram))), 1e-300)
+        if eigvals[0] < tol:
+            raise SingularGramError("Gram matrix is numerically singular (smallest eigenvalue "
+                                    f"{eigvals[0]:.3e} below {tol:.3e}); set ridge > 0 to proceed")
+        return int(np.sum(eigvals > tol))
+
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 over the bytes of (y, X, ridge), read in place when C-contiguous."""
+        h = hashlib.sha256(np.ascontiguousarray(self.y))
+        h.update(np.ascontiguousarray(self.X))
+        h.update(np.float64(self.ridge).tobytes())
+        return h.hexdigest()
+
+    @cached_property
+    def lipschitz_estimate(self) -> float:
+        """The solver's step bound, after :func:`check_instance_data`."""
+        from . import prox  # prox imports this module
+        check_instance_data(self)
+        return prox._lipschitz_estimate(self)
 
     def gradient(self, beta: np.ndarray) -> np.ndarray:
         """Loss gradient X^T(X beta - y) + ridge * beta."""
@@ -356,34 +406,10 @@ def check_instance_data(instance: ProblemInstance) -> None:
 
 
 def validate_instance(instance: ProblemInstance) -> ProblemInstance:
-    """Check finiteness, shape, and invertibility of the ridge-adjusted Gram.
-
-    Returns the instance with ``effective_rank`` and the plain, read-only
-    Gram ``gram`` = X^T X recorded on it, which the path engine reads
-    instead of forming its own; raises :class:`NonFiniteError` (on
-    non-finite data, or a Gram or X^T y that overflows float64) or
-    :class:`SingularGramError` otherwise.
-    """
+    """Check shapes and finiteness on every call, then read the Gram-side verdict
+    ``effective_rank``; return the instance or raise a :class:`ValidationError`."""
     check_instance_data(instance)
-    X, p = instance.X, instance.p
-    with np.errstate(over="ignore", invalid="ignore"):
-        plain = X.T @ X
-        Xty = X.T @ instance.y
-    gram = plain + instance.ridge * np.eye(p)
-    if not np.isfinite(gram).all():
-        raise NonFiniteError("the Gram matrix X^T X + ridge I overflows float64; rescale X")
-    if not np.isfinite(Xty).all():
-        raise NonFiniteError("X^T y overflows float64; rescale y or X")
-    eigvals = np.linalg.eigvalsh(gram)
-    tol = SINGULARITY_RTOL * max(float(np.max(np.diag(gram))), 1e-300)
-    if eigvals[0] < tol:
-        raise SingularGramError(
-            "Gram matrix is numerically singular (smallest eigenvalue "
-            f"{eigvals[0]:.3e} below {tol:.3e}); set ridge > 0 to proceed"
-        )
-    object.__setattr__(instance, "effective_rank", int(np.sum(eigvals > tol)))
-    plain.flags.writeable = False
-    object.__setattr__(instance, "gram", plain)
+    instance.effective_rank  # formed on the first call; raises while invalid
     return instance
 
 
@@ -425,13 +451,8 @@ def validate_ray(lam0, lam_bar) -> WeightRay:
 
 
 def instance_hash(instance: ProblemInstance) -> str:
-    """SHA-256 over the raw bytes of (y, X, ridge), read in place from
-    C-contiguous arrays."""
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(instance.y))
-    h.update(np.ascontiguousarray(instance.X))
-    h.update(np.float64(instance.ridge).tobytes())
-    return h.hexdigest()
+    """The instance's ``digest``, formed once per instance."""
+    return instance.digest
 
 
 def _format_float(x: float) -> str:
@@ -458,13 +479,17 @@ def save_instance(instance: ProblemInstance, csv_path, metadata: dict | None = N
 def load_instance(csv_path) -> ProblemInstance:
     """Read an instance saved by :func:`save_instance` (header optional).
 
-    Raises :class:`ValidationError`, naming the file and the line, on a
-    cell that is not a number or a row whose length differs from the
-    first row's, and naming the sidecar on one that is not a JSON object
-    or whose ridge is not a number."""
+    Each row is parsed straight into one float array whose rows are
+    counted first, so reading holds little more than the data.  Raises
+    :class:`ValidationError`, naming the file and the line, on a cell that
+    is not a number or a row whose length differs from the first row's,
+    and naming the sidecar on one that is not a JSON object or whose ridge
+    is not a number."""
     csv_path = Path(csv_path)
-    rows = []
+    data, rows = None, 0
     with csv_path.open() as fh:
+        n_rows = sum(1 for line in fh if line.strip())  # the header, if any, too
+        fh.seek(0)
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -474,17 +499,21 @@ def load_instance(csv_path) -> ProblemInstance:
                 try:
                     float(cells[0])
                 except ValueError:
+                    n_rows -= 1
                     continue  # header row
             try:
-                rows.append([float(c) for c in cells])
+                row = [float(c) for c in cells]
             except ValueError as exc:
                 raise ValidationError(f"{csv_path}, line {line_no}: {exc}") from None
-            if len(cells) != len(rows[0]):
+            if data is None:
+                data = np.empty((n_rows, len(row)))
+            elif len(row) != data.shape[1]:
                 raise ValidationError(f"{csv_path}, line {line_no}: {len(cells)} cells, "
-                                      f"the first row has {len(rows[0])}")
+                                      f"the first row has {data.shape[1]}")
+            data[rows] = row
+            rows += 1
     if not rows:
         raise ValidationError(f"no data rows in {csv_path}")
-    data = np.asarray(rows, dtype=float)
     if data.shape[1] < 2:
         raise ValidationError("instance CSV needs a y column plus at least one X column")
     ridge = 0.0

@@ -6,11 +6,8 @@ path values.  It runs one configuration, FISTA with a backtracking step
 bound and function-value adaptive restart; the stop tolerance is its one
 setting.
 
-The solver's step bound comes from a seeded power iteration on X^T X +
-ridge I, a deterministic function of the instance; it is computed once per
-instance, after a check of its shapes and finiteness, and cached on it as
-``lipschitz_estimate``.  Instances are immutable by contract: do not
-change ``X``, ``y`` or ``ridge`` in place once an instance was solved.
+The solver's step bound is :func:`_lipschitz_estimate`, a seeded power
+iteration, which an instance forms once as its ``lipschitz_estimate``.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DidNotConvergeError, NonFiniteError, ValidationError
-from .model import ProblemInstance, check_instance_data, check_weight_order
+from .model import ProblemInstance, check_weight_order
 from .optimality import OptimalityReport, check_optimality
 
 __all__ = ["sorted_l1_prox", "SolveResult", "solve_slope"]
@@ -119,6 +116,7 @@ _MAX_ITERATIONS = 100_000
 
 
 def _lipschitz_estimate(instance: ProblemInstance) -> float:
+    """Power-iteration bound on the top eigenvalue of X^T X + ridge I, or NonFiniteError."""
     rng = np.random.Generator(np.random.PCG64(_POWER_SEED))
     v = rng.standard_normal(instance.p)
     v /= np.linalg.norm(v)
@@ -135,21 +133,8 @@ def _lipschitz_estimate(instance: ProblemInstance) -> float:
         if est == 0.0:
             return instance.ridge if instance.ridge > 0 else 1.0
         v = w / est
-    return est
-
-
-def _instance_lipschitz(instance: ProblemInstance) -> float:
-    """:func:`_lipschitz_estimate`, computed once per instance and cached on
-    it (as :func:`validate_instance` caches ``effective_rank``), after
-    :func:`check_instance_data`; raises :class:`NonFiniteError`, caching
-    nothing, when X^T X v overflows and the estimate is not finite."""
-    est = instance.__dict__.get("lipschitz_estimate")
-    if est is None:
-        check_instance_data(instance)
-        est = _lipschitz_estimate(instance)
-        if not math.isfinite(est):
-            raise NonFiniteError("X^T X overflows float64; rescale X")
-        object.__setattr__(instance, "lipschitz_estimate", est)
+    if not math.isfinite(est):
+        raise NonFiniteError("X^T X overflows float64; rescale X")
     return est
 
 
@@ -178,7 +163,7 @@ def solve_slope(instance: ProblemInstance, weights, *,
     """
     if not stop_tolerance > 0:  # NaN too
         raise ValidationError("stop_tolerance must be positive")
-    lipschitz = _instance_lipschitz(instance)
+    lipschitz = instance.lipschitz_estimate
     lam = np.asarray(weights, dtype=float)
     if lam.shape != (instance.p,):
         raise ValidationError("weights must have one entry per column of X")

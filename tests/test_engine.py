@@ -141,6 +141,80 @@ class TestGramHelpers:
                 assert np.array_equal(gathered.view(np.int64), strided.view(np.int64))
 
 
+# The group-column builders as they were: a gathered n x k block, signed
+# and summed along its rows, and the grouped system on a row-major XG.
+
+
+def _frozen_group_column(X, signs, members):
+    return -(X[:, members] * signs[members]).sum(axis=1)
+
+
+def _frozen_grouped_system(order, starts, signs, X, Xty, ridge):
+    m = starts.size - 1
+    XG, XGty = np.empty((X.shape[0], m)), np.empty(m)
+    for j in range(m):
+        members = order[starts[j]:starts[j + 1]]
+        XG[:, j] = _frozen_group_column(X, signs, members)
+        XGty[j] = -(signs[members] * Xty[members]).sum()
+    return XGty, XG.T @ XG + ridge * np.diag(np.diff(starts).astype(float))
+
+
+class TestGroupColumnKernel:
+    """Group columns summed one column at a time, and the grouped system
+    on a column-major XG, give the frozen builders' bytes."""
+
+    @staticmethod
+    def _design(rng, n, p):
+        X = rng.standard_normal((n, p)) * rng.uniform(0.1, 10.0, size=p)
+        X[rng.random((n, p)) < 0.1] = 0.0
+        X[rng.random((n, p)) < 0.1] = -0.0
+        X[:, 0] = 0.0
+        X[:, 1 % p] = -0.0
+        return X
+
+    def test_group_column_matches_the_gathered_block(self):
+        rng = np.random.default_rng(21)
+        for n, p in ((1, 12), (2, 9), (5, 30), (64, 17), (1000, 40)):
+            X = self._design(rng, n, p)
+            for design in (X, np.asfortranarray(X)):
+                for k in range(1, p + 1):
+                    signs = rng.choice([-1.0, 1.0], size=p)
+                    members = rng.permutation(p)[:k]
+                    got = _group_column(design, signs, members)
+                    want = _frozen_group_column(design, signs, members)
+                    assert got.tobytes() == want.tobytes(), (n, p, k)
+
+    def test_zero_columns_keep_the_block_sums_sign(self):
+        # the block sum starts from +0.0, so a lone -0.0 column gives -0.0
+        # after the negation, and a -0.0 column subtracted gives +0.0 first
+        X = np.zeros((3, 2))
+        X[:, 1] = -0.0
+        for s in (1.0, -1.0):
+            for members in ([1], [0, 1], [1, 0], [1, 1]):
+                signs, members = np.array([s, s]), np.array(members)
+                got = _group_column(X, signs, members)
+                want = _frozen_group_column(X, signs, members)
+                assert got.tobytes() == want.tobytes()
+
+    def test_grouped_system_matches_the_row_major_builder(self):
+        rng = np.random.default_rng(22)
+        # (n, p, ridge, group count): one group; tall; p > n with a ridge
+        for n, p, ridge, m in ((40, 6, 0.0, 1), (300, 25, 0.0, 9), (12, 30, 0.5, 11),
+                               (8000, 80, 0.0, 23)):
+            X = self._design(rng, n, p)
+            y = rng.standard_normal(n)
+            order = rng.permutation(p)
+            zero = int(rng.integers(0, 2))
+            cuts = np.sort(rng.choice(np.arange(zero + 1, p), size=m - 1, replace=False))
+            starts = np.concatenate(([zero], cuts, [p]))
+            signs = rng.choice([-1.0, 1.0], size=p)
+            XF = np.asfortranarray(X)
+            want = _frozen_grouped_system(order, starts, signs, XF, X.T @ y, ridge)
+            got = _grouped_system(order, starts, signs, XF, X.T @ y, ridge)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes(), (n, p, m)
+
+
 class TestSegmentSolution:
     def test_t2_separate_groups(self, t2_instance, t2_ray):
         structure = GroupStructure(

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import tracemalloc
 import re
 from pathlib import Path
 
@@ -118,6 +120,81 @@ class TestValidateInstance:
             assert np.array_equal(fresh.view(np.int64), inst.gram.view(np.int64))
 
 
+def _counted(monkeypatch, name, calls):
+    """Count each time ProblemInstance forms its cached property ``name``."""
+    form = ProblemInstance.__dict__[name].func
+
+    def counted(self):
+        calls[name] = calls.get(name, 0) + 1
+        return form(self)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(ProblemInstance, name)
+    monkeypatch.setattr(ProblemInstance, name, prop)
+
+
+_FIELDS = {"y", "X", "ridge"}
+
+
+class TestDerivedValues:
+    """An instance forms the Gram, X^T y, the verdict and the digest once,
+    keeps nothing while invalid, and shares nothing with a fresh copy."""
+
+    def test_two_paths_form_each_value_once(self, monkeypatch):
+        calls = {}
+        for name in ("gram", "xty", "effective_rank", "digest"):
+            _counted(monkeypatch, name, calls)
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted_eigvalsh(a):
+            calls["eigvalsh"] = calls.get("eigvalsh", 0) + 1
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        inst, _ = generate(ScenarioSpec(scenario=1, p=12, n=60, seed=3))
+        ray = validate_ray(np.zeros(12), bh_sequence(12, 0.1))
+        first, second = run_path(inst, ray), run_path(inst, ray)
+        assert calls == {"gram": 1, "xty": 1, "effective_rank": 1, "digest": 1,
+                         "eigvalsh": 1}
+        assert first.events == second.events
+        assert first.provenance["instance_hash"] == second.provenance["instance_hash"]
+
+    @pytest.mark.parametrize("X, y, error, kept", [
+        ([[1.0, 1.0], [2.0, 2.0], [0.5, 0.5]], [1.0, 1.0, 1.0], SingularGramError,
+         {"gram", "xty"}),
+        ([[1e155, 0.0], [0.0, 1e155]], [1.0, 2.0], NonFiniteError, {"gram"}),
+        ([[1.0, 0.0], [1.0, 1.0]], [1e308, 1e308], NonFiniteError, {"gram", "xty"}),
+        ([[1.0, 0.0], [0.0, math.nan]], [1.0, 2.0], NonFiniteError, set()),
+        ([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0, 3.0], ValidationError, set()),
+    ], ids=["singular", "gram-overflow", "xty-overflow", "nan", "shape"])
+    def test_an_invalid_instance_raises_every_time_and_keeps_no_verdict(self, X, y, error,
+                                                                       kept):
+        # the verdict is never kept, so it raises again; the products it
+        # read stay (data that fails its own checks forms none)
+        inst = ProblemInstance(y=y, X=np.array(X))
+        ray = validate_ray(np.zeros(2), np.array([1.0, 2.0]))
+        for _ in range(2):
+            with pytest.raises(error):
+                validate_instance(inst)
+            with pytest.raises(error):
+                run_path(inst, ray)
+            assert set(vars(inst)) == _FIELDS | kept
+
+    def test_a_fresh_instance_shares_nothing(self):
+        inst, _ = generate(ScenarioSpec(scenario=1, p=8, n=40, seed=5))
+        ray = validate_ray(np.zeros(8), bh_sequence(8, 0.1))
+        run_path(inst, ray)
+        kept = set(vars(inst)) - _FIELDS
+        assert kept == {"gram", "xty", "effective_rank", "digest"}
+        fresh = ProblemInstance(y=inst.y, X=inst.X, ridge=inst.ridge)
+        assert set(vars(fresh)) == _FIELDS
+        run_path(fresh, ray)
+        for name in ("gram", "xty"):
+            assert getattr(fresh, name) is not getattr(inst, name)
+            assert getattr(fresh, name).tobytes() == getattr(inst, name).tobytes()
+            assert not getattr(fresh, name).flags.writeable
+
+
 class TestValidateRay:
     def test_monotone_direction_unbounded(self):
         ray = validate_ray(np.zeros(3), np.array([0.1, 0.2, 0.4]))
@@ -223,6 +300,28 @@ class TestSerialization:
     def test_instance_headerless(self, tmp_path):
         p = tmp_path / "plain.csv"
         p.write_text("1.5,2.0\n-0.5,1.0\n")
+        inst = load_instance(p)
+        assert inst.y.tolist() == [1.5, -0.5]
+        assert inst.X.tolist() == [[2.0], [1.0]]
+
+    def test_load_instance_peak_memory_is_about_x(self, tmp_path):
+        # the rows as Python float lists peaked at 5.35x X's bytes; parsed
+        # into one counted array they leave little more than the data
+        inst, _ = generate(ScenarioSpec(scenario=1, p=80, n=8000, seed=2000))
+        file = tmp_path / "inst.csv"
+        save_instance(inst, file)
+        tracemalloc.start()
+        try:
+            back = load_instance(file)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0 * inst.X.nbytes
+        assert back.X.tobytes() == inst.X.tobytes() and back.y.tobytes() == inst.y.tobytes()
+
+    def test_load_instance_skips_blank_lines(self, tmp_path):
+        p = tmp_path / "blank.csv"
+        p.write_text("y,x1\n\n1.5,2.0\n\n-0.5,1.0\n\n")
         inst = load_instance(p)
         assert inst.y.tolist() == [1.5, -0.5]
         assert inst.X.tolist() == [[2.0], [1.0]]
