@@ -20,13 +20,7 @@ from . import __version__
 from .datagen import ScenarioSpec, generate
 from .engine import PathOptions, run_path
 from .errors import NumericalError, ValidationError
-from .harness import (
-    DEFAULT_DESIGN_PARAMS,
-    design_direction,
-    emit_contour,
-    emit_sphericity_curve,
-    run_experiment,
-)
+from .harness import emit_contour, emit_sphericity_curve, run_experiment
 from .model import (
     WeightRay,
     load_instance,
@@ -78,11 +72,8 @@ def _ray_from_args(args, p: int, n_rows: int):
     else:
         if args.design is None:
             raise ValidationError("give either --design or --lambda0/--lambdabar")
-        params = dict(DEFAULT_DESIGN_PARAMS)
-        if args.q is not None:
-            params[f"q_{args.design}"] = args.q
         lam0 = np.zeros(p)
-        lam_bar = design_direction(args.design, p, args.design_n or n_rows, params)
+        lam_bar = design_sequence(args.design, p, q=args.q, n=args.design_n or n_rows)
     return lam0, lam_bar
 
 
@@ -177,8 +168,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_bench(args) -> int:
     sizes = []
     for token in args.sizes.split(","):
-        p_str, n_str = token.lower().split("x")
-        sizes.append((int(p_str), int(n_str)))
+        p_str, _, n_str = token.lower().partition("x")
+        try:
+            sizes.append((int(p_str), int(n_str)))
+        except ValueError:
+            raise ValidationError(f"--sizes: {token!r} is not of the form PxN") from None
     designs = args.designs.split(",")
     for design in designs:
         if design not in DESIGN_NAMES:

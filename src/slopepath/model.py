@@ -382,10 +382,15 @@ class SolutionPath:
 
 
 def check_weight_order(lam) -> np.ndarray:
-    """Return ``lam`` as floats; raise ValidationError unless it is
-    ascending and nonnegative."""
+    """Return ``lam`` as floats; raise NonFiniteError on a NaN or infinite
+    entry, else ValidationError unless it is ascending and nonnegative.
+    NaN fails every comparison and +inf can only sit last, so only rejected
+    weights are scanned for non-finite entries."""
     lam = np.asarray(lam, dtype=float)
-    if lam.size and (lam[0] < 0 or (lam[..., 1:] < lam[..., :-1]).any()):
+    if lam.size and not (lam[0] >= 0 and (lam[..., 1:] >= lam[..., :-1]).all()
+                         and lam[-1] < math.inf):
+        if not np.isfinite(lam).all():
+            raise NonFiniteError("weights contain non-finite entries")
         raise ValidationError("weights must be ascending and nonnegative")
     return lam
 

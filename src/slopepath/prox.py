@@ -167,8 +167,6 @@ def solve_slope(instance: ProblemInstance, weights, *,
     lam = np.asarray(weights, dtype=float)
     if lam.shape != (instance.p,):
         raise ValidationError("weights must have one entry per column of X")
-    if not np.isfinite(lam).all():
-        raise NonFiniteError("weights contain non-finite entries")
     # lam / L keeps the order for any L > 0, so the prox steps skip the check
     check_weight_order(lam)
     x = np.zeros(instance.p)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from slopepath import load_instance, load_path, qs_sequence
+from slopepath import bh_sequence, load_instance, load_path, qs_sequence
 from slopepath.cli import main
 from slopepath.errors import NumericalError
 
@@ -27,6 +27,34 @@ class TestWeightsCommand:
     def test_validation_error_exit_code(self, capsys):
         assert run_cli(["weights", "--design", "bh", "--p", "4", "--q", "2"]) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestDefaultLevel:
+    """Every command that builds a design takes a left-out --q from the one
+    table of default levels: bh at q = 0.1."""
+
+    def test_weights(self, capsys):
+        assert run_cli(["weights", "--design", "bh", "--p", "8"]) == 0
+        values = [float(line) for line in capsys.readouterr().out.split()]
+        assert values == bh_sequence(8, 0.1).tolist()
+
+    def test_contour(self, tmp_path):
+        default, explicit = tmp_path / "default.csv", tmp_path / "explicit.csv"
+        assert run_cli(["contour", "--design", "bh", "--p", "8", "--angles", "12",
+                        "--out", default]) == 0
+        weights_file = tmp_path / "w.txt"
+        weights_file.write_text("\n".join(repr(v) for v in bh_sequence(8, 0.1).tolist()))
+        assert run_cli(["contour", "--weights", weights_file, "--angles", "12",
+                        "--out", explicit]) == 0
+        assert default.read_bytes() == explicit.read_bytes()
+
+    def test_path(self, tmp_path):
+        inst_file, out = tmp_path / "inst.csv", tmp_path / "path.jsonl"
+        assert run_cli(["simulate", "--scenario", "2", "--p", "6", "--n", "30",
+                        "--seed", "1", "--out", inst_file]) == 0
+        assert run_cli(["path", "--instance", inst_file, "--design", "bh",
+                        "--out", out]) == 0
+        assert load_path(out).provenance["ray"]["lam_bar"] == bh_sequence(6, 0.1).tolist()
 
 
 class TestSimulateAndPath:
@@ -105,6 +133,20 @@ class TestSimulateAndPath:
 
 
 class TestSolveAndCheck:
+    @pytest.mark.parametrize("weights", ["nan 1", "0 inf"], ids=["nan", "inf"])
+    def test_check_rejects_non_finite_weights(self, tmp_path, t2_instance, capsys, weights):
+        # a NaN tolerance or margin would make the report invalid JSON
+        from slopepath import save_instance
+        inst_file = tmp_path / "t2.csv"
+        save_instance(t2_instance, inst_file)
+        (tmp_path / "w.txt").write_text(weights + "\n")
+        (tmp_path / "beta.txt").write_text("1\n1\n")
+        assert run_cli(["check", "--instance", inst_file, "--beta", tmp_path / "beta.txt",
+                        "--weights", tmp_path / "w.txt"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: weights contain non-finite entries\n"
+
     def test_solve_then_check(self, tmp_path, t2_instance, capsys):
         from slopepath import save_instance
         inst_file = tmp_path / "t2.csv"
@@ -246,6 +288,20 @@ class TestMalformedInput:
         assert err.startswith(f"error: {meta}: ") and message in err
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["bench", "--scenario", "1", "--sizes", "20", "--replicates", "1"],
+         "--sizes: '20' is not of the form PxN"),
+        (["bench", "--scenario", "1", "--sizes", "4x20,20xabc", "--replicates", "1"],
+         "--sizes: '20xabc' is not of the form PxN"),
+        (["bench", "--scenario", "1", "--sizes", "4x20", "--replicates", "0"],
+         "replicates must be at least 1, got 0"),
+        (["contour", "--design", "qs", "--p", "4", "--angles", "-1"],
+         "n_angles must be at least 1, got -1"),
+    ], ids=["sizes-without-x", "sizes-not-a-number", "no-replicates", "negative-angles"])
+    def test_malformed_option(self, capsys, args, message):
+        assert run_cli(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["path", "solve"])
     def test_overflowing_gram(self, tmp_path, capsys, command):

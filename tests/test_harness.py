@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from slopepath import (
     WeightRay,
     emit_contour,
     emit_sphericity_curve,
+    load_path,
     oscar_sequence,
     path_metrics,
     qs_sequence,
@@ -20,7 +22,7 @@ from slopepath import (
     sphericity_ratio,
     validate_ray,
 )
-from slopepath.errors import ValidationError, ZeroWeightsError
+from slopepath.errors import EmptyPathError, NonFiniteError, ValidationError, ZeroWeightsError
 
 
 class TestPathMetrics:
@@ -43,6 +45,16 @@ class TestPathMetrics:
         mean_nnz, mean_groups, events = path_metrics(run_path(inst, ray))
         assert mean_nnz == 0.0
         assert events == 0
+
+    def test_path_without_events_is_rejected(self, tmp_path):
+        # a file holding a header and one knot but no event
+        path_file = tmp_path / "knot-only.jsonl"
+        path_file.write_text(
+            json.dumps({"record": "header", "provenance": {}}) + "\n"
+            + json.dumps({"record": "knot", "eta": 0.0, "beta": [1.0, 2.0],
+                          "slope": [0.0, 0.0]}) + "\n")
+        with pytest.raises(EmptyPathError, match="path has no events to summarize"):
+            path_metrics(load_path(path_file))
 
 
 class TestRunExperiment:
@@ -82,6 +94,12 @@ class TestRunExperiment:
                              text=True, check=True, timeout=60)
         assert out.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("replicates", [0, -1])
+    def test_no_replicates_rejected(self, replicates):
+        with pytest.raises(ValidationError, match="replicates must be at least 1"):
+            run_experiment(scenario=1, sizes=[(4, 20)], designs=["qs"],
+                           replicates=replicates, seed_base=0)
+
     def test_table_output_mentions_convention(self):
         report = run_experiment(scenario=2, sizes=[(4, 24)], designs=["qs"],
                                 replicates=2, seed_base=3)
@@ -118,15 +136,31 @@ class TestEmitContour:
         with pytest.raises(ZeroWeightsError):
             emit_contour(np.zeros(4))
 
+    @pytest.mark.parametrize("lam", [[float("nan"), 1.0], [0.5, float("nan")],
+                                     [0.5, float("inf")]], ids=["nan-first", "nan-last", "inf"])
+    def test_non_finite_weights_rejected(self, lam):
+        with pytest.raises(NonFiniteError, match="weights contain non-finite entries"):
+            emit_contour(np.array(lam))
+
+    @pytest.mark.parametrize("n_angles", [0, -1])
+    def test_no_angles_rejected(self, n_angles):
+        with pytest.raises(ValidationError, match="n_angles must be at least 1"):
+            emit_contour(qs_sequence(4), n_angles=n_angles)
+
 
 class TestSphericityCurve:
     def test_endpoints_and_monotonicity(self):
         rows = emit_sphericity_curve(150)
         assert rows[0] == pytest.approx([1.0, 1.0])
         by_p = {int(p): rho for p, rho in rows}
-        assert by_p[100] == pytest.approx(sphericity_ratio(100), abs=1e-12)
         assert 1.46 <= by_p[100] <= 1.48
         assert np.all(np.diff(rows[:, 1]) >= 0)
+
+    @pytest.mark.parametrize("p_max", [1, 150, 3000])
+    def test_every_row_is_the_sphericity_ratio(self, p_max):
+        rows = emit_sphericity_curve(p_max)
+        for p, rho in rows.tolist():
+            assert rho == sphericity_ratio(int(p))
 
     def test_thinning_above_cutoff(self):
         rows = emit_sphericity_curve(5000)

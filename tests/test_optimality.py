@@ -10,7 +10,12 @@ from slopepath import (
     signs_and_order,
     structure_from_beta,
 )
-from slopepath.errors import InconsistentGroupsError, SlopePathError, ValidationError
+from slopepath.errors import (
+    InconsistentGroupsError,
+    NonFiniteError,
+    SlopePathError,
+    ValidationError,
+)
 from slopepath.model import check_weight_order
 
 from conftest import grid_minimize, random_ascending_weights
@@ -113,6 +118,14 @@ class TestCheckOptimality:
         for (g1, k1, m1), (g2, k2, m2) in zip(base.slack_margins, scaled.slack_margins):
             assert (g1, k1) == (g2, k2)
             assert m2 == pytest.approx(c * m1, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("lam", [[float("nan"), 1.0], [0.0, float("nan")],
+                                     [0.0, float("inf")], [-float("inf"), 1.0]],
+                             ids=["nan-first", "nan-last", "inf", "minus-inf"])
+    def test_non_finite_weights_rejected(self, lam):
+        # +inf passes every order comparison when it sits last
+        with pytest.raises(NonFiniteError, match="weights contain non-finite entries"):
+            check_optimality(np.array([5.0, -7.0]), np.array([100.0, 3.0]), np.array(lam))
 
 
 class TestOracleAgreement:
@@ -563,6 +576,22 @@ def _assert_structure_bits(new, old):
         assert _same_bit_array(getattr(new, name), getattr(old, name)), name
 
 
+def _rejected_as_non_finite(new, lam, vector_reaches_check=True) -> bool:
+    """For weights with a NaN or infinite entry, which the frozen copies let
+    through: True if ``new`` is their rejection.  A 1-d vector that reaches
+    the weight check must be rejected so.  Weights of another shape, or
+    stopped by an earlier check, may instead keep the frozen copy's outcome
+    (numpy's own shape errors, a length or 1-d check): False sends them,
+    like all finite weights, to the bit-for-bit comparison."""
+    if np.isfinite(lam).all():
+        return False
+    if isinstance(new, NonFiniteError):
+        assert str(new) == "weights contain non-finite entries"
+        return True
+    assert not (lam.ndim == 1 and vector_reaches_check), new
+    return False
+
+
 _INF = float("inf")
 # exact and near ties (1 + 1e-9 chains with 1 + 2e-9 inside the default
 # tie_tol), values on either side of the zero threshold, both zeros, NaN
@@ -612,7 +641,8 @@ class TestFastPathBitIdentity:
         with np.errstate(all="ignore"):
             new = _outcome_of(check_optimality, beta, grad, lam, **kwargs)
             old = _outcome_of(_prev_check_optimality, beta, grad, lam, **kwargs)
-        _assert_report_bits(new, old)
+        if not _rejected_as_non_finite(new, lam, lam.shape == beta.shape):
+            _assert_report_bits(new, old)
 
     @given(_fast_inputs())
     def test_structure_matches_frozen_copy(self, inputs):
@@ -650,6 +680,8 @@ class TestFastPathBitIdentity:
             if ndim else np.array(values[0] if values else 0.0)
         new = _outcome_of(check_weight_order, lam)
         old = _outcome_of(_prev_check_weight_order, lam)
+        if _rejected_as_non_finite(new, lam):
+            return
         if not _assert_same_outcome(new, old):
             assert _same_bit_array(new, old)
 
@@ -679,7 +711,8 @@ class TestFastPathBitIdentity:
                                 with np.errstate(all="ignore"):
                                     new = _outcome_of(check_optimality, b, g, w, **kwargs)
                                     old = _outcome_of(_prev_check_optimality, b, g, w, **kwargs)
-                                _assert_report_bits(new, old)
+                                if not _rejected_as_non_finite(new, w, w.shape == b.shape):
+                                    _assert_report_bits(new, old)
                     with np.errstate(all="ignore"):
                         new = _outcome_of(structure_from_beta, beta, grad, tie_tol)
                         old = _outcome_of(_prev_structure_from_beta, beta, grad, tie_tol)

@@ -36,6 +36,14 @@ class TestSortedL1Prox:
         with pytest.raises(ValidationError):
             sorted_l1_prox(np.ones(2), np.array([2.0, 1.0]))
 
+    @pytest.mark.parametrize("lam", [[float("nan"), 1.0], [1.0, float("nan")],
+                                     [0.0, float("inf")], [float("inf"), float("inf")]],
+                             ids=["nan-first", "nan-last", "inf-last", "inf-both"])
+    def test_non_finite_weights_rejected(self, lam):
+        # NaN compares false with every weight, so no order comparison rejects it
+        with pytest.raises(NonFiniteError, match="weights contain non-finite entries"):
+            sorted_l1_prox(np.array([3.0, 1.0]), np.array(lam))
+
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(21)
         for _ in range(150):

@@ -15,11 +15,18 @@ from slopepath import (
     qs_sequence,
     sphericity_ratio,
 )
-from slopepath.weights import _QUANTILE_CHUNK, _SCALAR_MAX, _quantile_chunk
+from slopepath import harness
+from slopepath.weights import (
+    DEFAULT_DESIGN_PARAMS,
+    _QUANTILE_CHUNK,
+    _SCALAR_MAX,
+    _quantile_chunk,
+)
 from slopepath.errors import (
     DenominatorUnderflowError,
     InvalidLevelError,
     NegativeOffsetError,
+    NonFiniteError,
     ValidationError,
     ZeroWeightsError,
 )
@@ -299,6 +306,12 @@ class TestContourExtremes:
         assert mx3 == pytest.approx(3 * mx1)
         assert mn3 == pytest.approx(3 * mn1)
 
+    @pytest.mark.parametrize("lam", [[float("nan"), 1.0], [0.0, float("nan")],
+                                     [0.5, float("inf")]], ids=["nan-first", "nan-last", "inf"])
+    def test_non_finite_weights_rejected(self, lam):
+        with pytest.raises(NonFiniteError, match="weights contain non-finite entries"):
+            contour_extremes(lam, r=1.0)
+
     def test_monte_carlo_sandwich(self):
         rng = np.random.default_rng(5)
         lam = random_ascending_weights(rng, 7)
@@ -331,8 +344,21 @@ class TestDesignProperties:
     def test_design_record(self):
         assert design_sequence("qs", 5) == pytest.approx(qs_sequence(5))
         assert design_sequence("bh", 4, q=0.2) == pytest.approx(bh_sequence(4, 0.2))
-        with pytest.raises(ValidationError):
-            design_sequence("bh", 4)  # missing level
+        # a missing level is the default one
+        assert np.array_equal(design_sequence("bh", 4), bh_sequence(4, 0.1))
+        with pytest.raises(ValidationError, match="requires a sample count n"):
+            design_sequence("gauss", 4)
+
+    @pytest.mark.parametrize("kind, n", [("bh", None), ("gauss", 100), ("oscar", None)])
+    @pytest.mark.parametrize("p", [1, 9, 64])
+    def test_missing_level_is_the_default(self, kind, n, p):
+        lam = design_sequence(kind, p, n=n)
+        expected = design_sequence(kind, p, q=DEFAULT_DESIGN_PARAMS[f"q_{kind}"], n=n)
+        assert lam.tobytes() == expected.tobytes()
+
+    def test_one_table_of_default_levels(self):
+        assert harness.DEFAULT_DESIGN_PARAMS is DEFAULT_DESIGN_PARAMS
+        assert DEFAULT_DESIGN_PARAMS == {"q_bh": 0.1, "q_gauss": 0.1, "q_oscar": 1.0}
 
     def test_qs_minimizes_contour_ratio(self):
         rng = np.random.default_rng(11)
