@@ -31,7 +31,7 @@ from .model import (
 )
 from .optimality import check_optimality
 from .prox import solve_slope
-from .weights import DESIGN_NAMES, design_sequence
+from .weights import DEFAULT_DESIGN_PARAMS, DESIGN_NAMES, design_sequence
 
 
 def _read_vector(path: str) -> np.ndarray:
@@ -177,13 +177,12 @@ def _cmd_bench(args) -> int:
     for design in designs:
         if design not in DESIGN_NAMES:
             raise ValidationError(f"unknown design {design!r}")
-    params = {}
-    if args.q is not None:
-        params["q_bh"] = params["q_gauss"] = args.q
+    # --q is the level of every design that has one, as in the other commands
+    params = None if args.q is None else dict.fromkeys(DEFAULT_DESIGN_PARAMS, args.q)
     report = run_experiment(
         scenario=args.scenario, sizes=sizes, designs=designs,
         replicates=args.replicates, seed_base=args.seed,
-        threads=args.threads, design_params=params or None,
+        threads=args.threads, design_params=params,
     )
     if args.format == "json":
         _write_text(report.to_json(include_timing=args.timing) + "\n", args.out)
@@ -292,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--sizes", required=True, help="comma list like 20x200,40x400")
     b.add_argument("--designs", default="bh,gauss,oscar,qs")
     b.add_argument("--replicates", type=int, default=100)
-    b.add_argument("--q", type=float, help="level for the bh/gauss designs")
+    b.add_argument("--q", type=float,
+                   help="level of every design that has one (bh, gauss: q; oscar: offset)")
     b.add_argument("--timing", action="store_true",
                    help="include wall times in JSON output")
     b.add_argument("--out", default="-")

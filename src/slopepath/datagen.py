@@ -12,14 +12,16 @@ on {-1,0,1}.  Both use y = X beta + e with standard normal noise.
 Randomness comes from the counter-based Philox generator keyed by
 (seed, stream), with the streams below, so drawing one quantity never
 perturbs the others and replicate seeds are independent by construction.
-Gaussian variates are produced by inverse-CDF of 53-bit uniforms, which
-keeps the draws reproducible across languages given the same generator.
-The inverse CDF is :func:`~slopepath.weights.normal_quantile`, evaluated on
-whole arrays in fixed-size chunks with numpy arithmetic and per-element
-libm calls (log, exp, erfc from :mod:`math`), so every draw is bit-identical
-to the element-at-a-time recipe that the stored benchmark paths were traced
-on.  It is called through this module's global name, where a tracer can
-wrap it.
+Gaussian variates are produced by inverse-CDF of uniforms drawn from 53-bit
+integers, which keeps the draws reproducible across languages given the
+same generator.  The inverse CDF is
+:func:`~slopepath.weights.normal_quantile`, evaluated on whole arrays in
+fixed-size chunks with numpy arithmetic, per-element libm calls for log and
+erfc, and numpy's exp where a rounding certificate shows that it gives
+libm's bits (libm's exp on the rest), so every draw is bit-identical to the
+element-at-a-time recipe that the stored benchmark paths were traced on.
+It is called through this module's global name, where a tracer can wrap
+it.
 
 X is allocated once and filled in row blocks of ``_QUANTILE_CHUNK // p``
 rows (at least one), so the temporaries beside it are one block's worth,
@@ -44,6 +46,7 @@ __all__ = ["ScenarioSpec", "generate", "STREAMS"]
 STREAMS = {"theta": 1, "X": 2, "noise": 3, "beta": 4}
 
 _RHO = 0.8
+_BELOW_ONE = 1.0 - 2.0 ** -53  # the largest double below 1
 
 
 @dataclass(frozen=True)
@@ -71,8 +74,12 @@ def _stream(seed: int, name: str) -> np.random.Generator:
 
 
 def _uniform_open(gen: np.random.Generator, size) -> np.ndarray:
-    """Uniform draws strictly inside (0, 1) with 53-bit resolution."""
-    return (gen.integers(0, 1 << 53, size=size).astype(float) + 0.5) / float(1 << 53)
+    """Uniform draws strictly inside (0, 1): (k + 1/2) / 2^53 for a 53-bit
+    integer k.  Below 1/2 that is exact; above it k + 1/2 rounds to even, so
+    the resolution there is 2^-52, and k = 2^53 - 1, which would round to 1,
+    becomes the largest double below 1."""
+    u = (gen.integers(0, 1 << 53, size=size).astype(float) + 0.5) / float(1 << 53)
+    return np.minimum(u, _BELOW_ONE, out=u)
 
 
 def _standard_normal(gen: np.random.Generator, size) -> np.ndarray:

@@ -73,6 +73,12 @@ def _exp(a: np.ndarray) -> np.ndarray:
     return _libm(math.exp, a)
 
 
+#: the exp of the array kernel's Halley step, certified against libm's
+#: there; a module name so that a test can put an exp of known error in its
+#: place
+_fast_exp = np.exp
+
+
 # The formulas take Python floats or numpy arrays alike: numpy's +, *, /
 # and sqrt round as Python floats do, so both give the same bits.
 
@@ -91,10 +97,45 @@ def _lower_tail(q):
 
 
 def _halley(x, u, erfc, exp):
-    """One Halley step on Phi(x) = u, with Phi through erfc."""
+    """The correction c of one Halley step on Phi(x) = u, with Phi through
+    erfc: the refined value is x - c, which every caller forms."""
     e = 0.5 * erfc(-x / _SQRT2) - u
     v = e * _SQRT2PI * exp(0.5 * x * x)
-    return x - v / (1.0 + 0.5 * x * v)
+    return v / (1.0 + 0.5 * x * v)
+
+
+def _halley_array(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``x - _halley(x, u, _erfc, _exp)`` on arrays, bit for bit, with
+    numpy's exp in place of libm's wherever that provably gives the same
+    bits, and libm's on the rest."""
+    # Why the bits agree.  With s = fl(x - c), Fast2Sum gives the exact
+    # error err = (x - s) - c of that subtraction when |c| <= |x| (Dekker
+    # 1971), so x - c = s + err exactly.  If numpy's exp and libm's both lie
+    # within 2^-42 relative of the true exp, their corrections differ by
+    # less than slack = 2^-38 |c|: the exps by at most 2^-41 relative, v
+    # and the denominator 1 + x v / 2 (close to 1, as the step starts near
+    # the root) by a few roundings more; and c is zero or a normal number
+    # on the refined range |x| < 26, where u > 1e-149.  libm's result
+    # rounds s + err + d with |d| < slack, so it is s itself when
+    # |err| + slack is below half the gap from s to either neighbour.  The
+    # gap toward zero is the smaller one (half the other at a power of two);
+    # it is a power of two, so the rounded 2 |err| + 2 slack stays below it
+    # only if the exact sum does.  Every other element (|c| > |x|, s = 0,
+    # NaN) is computed again through libm.  c is about 1e-9 |x| or less,
+    # so the slack is some 1e-5 of an ulp of s and the redo is rare.
+    c = _halley(x, u, _erfc, _fast_exp)
+    s = x - c
+    err = (x - s) - c
+    abs_c = np.abs(c)
+    abs_s = np.abs(s)
+    gap = abs_s - (abs_s.view(np.int64) - 1).view(float)  # NaN at s = 0
+    certified = 2.0 * np.abs(err) + 2.0 ** -37 * abs_c < gap
+    certified &= abs_c <= np.abs(x)
+    redo = (~certified).nonzero()[0]
+    if redo.size:
+        x = x[redo]
+        s[redo] = x - _halley(x, u[redo], _erfc, _exp)
+    return s
 
 
 def _quantile_scalar(u: float) -> float:
@@ -109,18 +150,20 @@ def _quantile_scalar(u: float) -> float:
         x = -_lower_tail(math.sqrt(-2.0 * math.log(1.0 - u)))
     # skipped in the extreme tails, where exp(x^2/2) overflows; the
     # unrefined value is already accurate to ~1e-9 relative there
-    return _halley(x, u, math.erfc, math.exp) if abs(x) < 26.0 else x
+    return x - _halley(x, u, math.erfc, math.exp) if abs(x) < 26.0 else x
 
 
 def _quantile_chunk(u: np.ndarray) -> np.ndarray:
     """:func:`_quantile_scalar` on each element of the 1-d ``u``, on whole
     arrays.
 
-    Each element goes through the same operations, in the same order.  The
-    central formula runs on the whole chunk (cheaper than gathering the
-    central elements when most are central) and the tails overwrite it;
-    the tail formula, the infinite ends and the gathers of the Halley step
-    are skipped when they select no element.
+    Each element goes through the same operations, in the same order, and
+    gets the same bits.  The central formula runs on the whole chunk
+    (cheaper than gathering the central elements when most are central) and
+    the tails overwrite it; the tail formula, the infinite ends and the
+    gathers of the Halley step are skipped when they select no element.
+    The Halley step is :func:`_halley_array`, whose exp is numpy's wherever
+    a rounding certificate shows that libm's would give the same result.
     """
     x = _central(u)
     tail = ((u < 0.02425) | (u > 0.97575)).nonzero()[0]
@@ -138,9 +181,9 @@ def _quantile_chunk(u: np.ndarray) -> np.ndarray:
         x[tail] = np.where(low, v, -v)
         refine = (np.abs(x) < 26.0).nonzero()[0]
         if refine.size < x.size:
-            x[refine] = _halley(x[refine], u[refine], _erfc, _exp)
+            x[refine] = _halley_array(x[refine], u[refine])
             return x
-    return _halley(x, u, _erfc, _exp)
+    return _halley_array(x, u)
 
 
 def normal_quantile(u):
@@ -149,11 +192,12 @@ def normal_quantile(u):
     Accurate to a few ulp (rational approximation plus one Halley
     refinement).  ``u=0`` and ``u=1`` map to -inf and +inf; a scalar
     argument returns a Python float.  Inputs of more than ``_SCALAR_MAX``
-    elements run on whole numpy chunks of ``_QUANTILE_CHUNK`` elements,
-    with only the libm calls (log in the tails, exp and erfc) going element
-    by element through :mod:`math`; smaller ones go element by element.
-    Either way the draws equal, bit for bit, those of the
-    element-at-a-time recipe.
+    elements run on whole numpy chunks of ``_QUANTILE_CHUNK`` elements:
+    log (in the tails) and erfc go element by element through :mod:`math`,
+    and the Halley step's exp is numpy's, certified element by element to
+    give libm's result and recomputed through :mod:`math` where it is not.
+    Smaller inputs go element by element.  Either way the draws equal, bit
+    for bit, those of the element-at-a-time recipe.
     """
     arr = np.asarray(u, dtype=float)
     flat = arr.reshape(-1)

@@ -5,6 +5,7 @@ import pytest
 from slopepath import bh_sequence, load_instance, load_path, qs_sequence
 from slopepath.cli import main
 from slopepath.errors import NumericalError
+from slopepath.harness import run_experiment
 
 
 def run_cli(args):
@@ -189,6 +190,18 @@ class TestBench:
         assert run_cli(["bench", "--scenario", "2", "--sizes", "4x24",
                         "--designs", "qs", "--replicates", "2"]) == 0
         assert "qs" in capsys.readouterr().out
+
+    def test_q_sets_the_oscar_offset(self, capsys):
+        # --q is the level of every design that has one, oscar's offset too
+        assert run_cli(["--format", "json", "bench", "--scenario", "2", "--sizes", "4x24",
+                        "--designs", "oscar", "--replicates", "1", "--seed", "0",
+                        "--q", "0.5"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        expected = json.loads(run_experiment(
+            scenario=2, sizes=[(4, 24)], designs=["oscar"], replicates=1, seed_base=0,
+            design_params={"q_oscar": 0.5}).to_json())
+        assert report["config"]["design_params"]["q_oscar"] == 0.5
+        assert report["results"] == expected["results"]
 
 
 class TestContourAndSphericity:

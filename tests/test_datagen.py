@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from slopepath import ScenarioSpec, generate
-from slopepath.datagen import _stream
+from slopepath.datagen import _stream, _uniform_open
 from slopepath.errors import OddDimensionError, ValidationError
 from slopepath.model import instance_hash
 from slopepath.weights import _QUANTILE_CHUNK, normal_quantile
@@ -148,3 +148,17 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < bound * inst.X.nbytes
+
+
+class TestUniformOpen:
+    def test_top_integer_stays_below_one(self):
+        # (2^53 - 1 + 1/2) / 2^53 rounds to 1, whose quantile is +inf; it
+        # becomes the largest double below 1, and every other integer keeps
+        # its value (2^52 + 1 and 2^53 - 2 round to even)
+        class Stub:
+            def integers(self, low, high, size):
+                return np.array([0, 2 ** 52 + 1, 2 ** 53 - 2, 2 ** 53 - 1])
+
+        u = _uniform_open(Stub(), 4)
+        assert u.tolist() == [2.0 ** -54, 0.5 + 2.0 ** -52, 1.0 - 2.0 ** -52, 1.0 - 2.0 ** -53]
+        assert np.isfinite(normal_quantile(u)).all()

@@ -15,11 +15,12 @@ from slopepath import (
     qs_sequence,
     sphericity_ratio,
 )
-from slopepath import harness
+from slopepath import harness, weights
 from slopepath.weights import (
     DEFAULT_DESIGN_PARAMS,
     _QUANTILE_CHUNK,
     _SCALAR_MAX,
+    _halley_array,
     _quantile_chunk,
 )
 from slopepath.errors import (
@@ -74,6 +75,13 @@ def _quantile_scalar(u: float) -> float:
         v = e * _SQRT2PI * math.exp(0.5 * x * x)
         x = x - v / (1.0 + 0.5 * x * v)
     return x
+
+
+def _halley_step(x: float, u: float) -> float:
+    """The Halley step of :func:`_quantile_scalar` from any start ``x``."""
+    e = 0.5 * math.erfc(-x / _SQRT2) - u
+    v = e * _SQRT2PI * math.exp(0.5 * x * x)
+    return x - v / (1.0 + 0.5 * x * v)
 
 
 def _oracle(u) -> np.ndarray:
@@ -164,6 +172,73 @@ class TestQuantileBitIdentity:
         finally:
             tracemalloc.stop()
         assert peak < 2 * out.nbytes
+
+
+@pytest.fixture(scope="module")
+def seeded_uniforms():
+    """The draws of ``test_seeded_uniforms`` and the bits of their
+    element-at-a-time quantiles."""
+    gen = np.random.Generator(np.random.Philox(key=[7, 0]))
+    u = (gen.integers(0, 1 << 53, size=1_000_000).astype(float) + 0.5) / float(1 << 53)
+    return u, _oracle(u).view(np.int64)
+
+
+def _noisy_exp(bound: float, seed: int):
+    """numpy's exp times 1 + r, with r uniform on [-bound, bound]."""
+    rng = np.random.default_rng(seed)
+
+    def exp(a):
+        return np.exp(a) * (1.0 + rng.uniform(-bound, bound, a.shape))
+    return exp
+
+
+class TestCertifiedExp:
+    """The array kernel's Halley step takes numpy's exp where a rounding
+    certificate shows that it gives libm's bits, and libm's on the rest."""
+
+    @staticmethod
+    def _count_redo(monkeypatch) -> list:
+        sizes = []
+        libm_exp = weights._exp
+
+        def counted(a):
+            sizes.append(a.size)
+            return libm_exp(a)
+        monkeypatch.setattr(weights, "_exp", counted)
+        return sizes
+
+    def test_exp_within_the_certified_error_keeps_every_bit(self, monkeypatch, seeded_uniforms):
+        u, expected = seeded_uniforms
+        monkeypatch.setattr(weights, "_fast_exp", _noisy_exp(2.0 ** -41, 0))
+        redo = self._count_redo(monkeypatch)
+        assert np.array_equal(normal_quantile(u).view(np.int64), expected)
+        assert sum(redo) > 0  # the certificate turned some elements down
+
+    def test_exp_beyond_it_changes_bits(self, monkeypatch, seeded_uniforms):
+        # the check above can fail: at 2^-22 the certificate's premise is
+        # false, and the results it passes are not libm's
+        u, expected = seeded_uniforms
+        monkeypatch.setattr(weights, "_fast_exp", _noisy_exp(2.0 ** -22, 0))
+        assert (normal_quantile(u).view(np.int64) != expected).any()
+
+    def test_steps_far_from_the_root(self, monkeypatch):
+        # started up to 1e-4 relative off the root, a step's correction c is
+        # up to 1e5 times as large as from the rational approximation, and
+        # an exp 2^-41 off moves x - c by up to a few tenths of an ulp, so
+        # many results sit where only the certificate keeps libm's bits
+        rng = np.random.default_rng(1)
+        u = rng.uniform(0.001, 0.999, size=100_000)
+        offset = rng.choice([-1.0, 1.0], u.size) * 10.0 ** rng.uniform(-9.0, -4.0, u.size)
+        x = normal_quantile(u) * (1.0 + offset)
+        expected = np.array([_halley_step(a, b) for a, b in zip(x.tolist(), u.tolist())])
+        monkeypatch.setattr(weights, "_fast_exp", _noisy_exp(2.0 ** -41, 1))
+        assert np.array_equal(_halley_array(x, u).view(np.int64), expected.view(np.int64))
+
+    def test_libm_redo_is_rare(self, monkeypatch, seeded_uniforms):
+        u, expected = seeded_uniforms
+        redo = self._count_redo(monkeypatch)
+        assert np.array_equal(normal_quantile(u).view(np.int64), expected)
+        assert sum(redo) < 1e-4 * u.size
 
 
 class TestNormalQuantile:
