@@ -134,10 +134,10 @@ def _cmd_path(args) -> int:
     save_path(path, args.out)
     if args.events:
         lines = ["index,eta,kind,g,k"]
-        for idx, event in enumerate(path.events):
-            g = "" if event.g is None else event.g
-            k = "" if event.k is None else event.k
-            lines.append(f"{idx},{event.eta!r},{event.kind},{g},{k}")
+        for idx, (kind, eta, g, k, *_) in enumerate(path.events.rows()):
+            g = "" if g is None else g
+            k = "" if k is None else k
+            lines.append(f"{idx},{eta!r},{kind},{g},{k}")
         Path(args.events).write_text("\n".join(lines) + "\n")
     diag = path.provenance["diagnostics"]
     sys.stderr.write(

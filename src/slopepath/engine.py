@@ -45,7 +45,6 @@ re-enter with the other sign, which is kept.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -58,9 +57,10 @@ from .errors import (
     ValidationError,
 )
 from .model import (
+    KIND_CODES,
+    EventLog,
     GroupStructure,
     KnotSegments,
-    PathEvent,
     ProblemInstance,
     SolutionPath,
     WeightRay,
@@ -823,7 +823,7 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
     cap = options.iteration_cap if options.iteration_cap is not None \
         else 50 * instance.p * instance.p
 
-    events: list[PathEvent] = []
+    events = EventLog()
     # one handler around the start and the whole loop, which costs nothing
     # until it catches: a numerical failure leaves with what reproduces it
     try:
@@ -836,8 +836,7 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
             t, kind, idx = state.next_event()
             if t >= ray.eta_max or math.isinf(t):
                 end = ray.eta_max if math.isfinite(ray.eta_max) else math.inf
-                events.append(PathEvent(kind="terminate", eta=end,
-                                        nnz=state.nnz, n_groups=state.n_groups))
+                events.append("terminate", end, nnz=state.nnz, n_groups=state.n_groups)
                 break
             if state.n_events >= cap:
                 raise IterationCapError(
@@ -845,8 +844,7 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
                     "raise iteration_cap if the path is genuinely this long"
                 )
             g, k = state.step(t, kind, idx)
-            events.append(PathEvent(kind=kind, eta=t, g=g, k=k,
-                                    nnz=state.nnz, n_groups=state.n_groups))
+            events.append(kind, t, g, k, state.nnz, state.n_groups)
             if options.validate_every and state.n_events % options.validate_every == 0:
                 state.gram_checks.append((state.n_events, state.scratch_check()))
             structural = kind == "fuse" or kind == "split"
@@ -861,7 +859,7 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
                         [(e.kind, e.eta, e.g, e.k) for e in events[-8:]])
         raise
 
-    kinds = Counter(e.kind for e in events)
+    count = events.kind.count
     provenance = {
         "instance_hash": instance_hash(instance),
         "ray": ray.describe(),
@@ -869,10 +867,10 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
         "options": {**asdict(options), "iteration_cap": cap},
         "diagnostics": {
             "events": state.n_events,
-            "fuse_events": kinds["fuse"],
-            "split_events": kinds["split"],
-            "switch_events": kinds["switch_order"],
-            "sign_switch_events": kinds["switch_sign"],
+            "fuse_events": count(KIND_CODES["fuse"]),
+            "split_events": count(KIND_CODES["split"]),
+            "switch_events": count(KIND_CODES["switch_order"]),
+            "sign_switch_events": count(KIND_CODES["switch_sign"]),
             "fallback_refactorizations": state.fallbacks,
             "rebuilds": dict(state.rebuilds),
             "min_schur_ratio": state.min_schur_ratio,
@@ -884,6 +882,5 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
             "stored_knots": len(betas),
         },
     }
-    events = tuple(events)
     return SolutionPath(segments=KnotSegments(events, knot_at, knot_eta, betas, slopes),
                         events=events, provenance=provenance)

@@ -22,7 +22,7 @@ import numpy as np
 from .datagen import ScenarioSpec, generate
 from .engine import run_path
 from .errors import EmptyPathError, ValidationError, ZeroWeightsError
-from .model import SolutionPath, check_weight_order, validate_ray
+from .model import KIND_CODES, SolutionPath, check_weight_order, validate_ray
 from .weights import DEFAULT_DESIGN_PARAMS, design_sequence, sphericity_ratio
 
 __all__ = [
@@ -39,21 +39,23 @@ def path_metrics(path: SolutionPath) -> tuple[float, float, int]:
     """(mean nonzero coefficients, mean nonzero groups, fuse+split count).
 
     Means are taken over the post-event states of the fuse and split
-    breakpoints.  A path without any such event is summarized by its
-    terminal state alone.
+    breakpoints, read from the path's event columns.  A path without any
+    such event is summarized by its terminal state alone.
     """
-    nnz = []
-    ngroups = []
-    for event in path.breakpoints():
-        if event.kind in ("fuse", "split"):
-            nnz.append(event.nnz)
-            ngroups.append(event.n_groups)
-    if not nnz:
-        if not path.events:
+    log = path.events
+    kinds = np.frombuffer(log.kind, dtype=np.int8)
+    structural = (kinds == KIND_CODES["fuse"]) | (kinds == KIND_CODES["split"])
+    if not structural.any():
+        if not log:
             raise EmptyPathError("path has no events to summarize")
-        terminal = path.events[-1]
+        terminal = log[-1]
         return float(terminal.nnz), float(terminal.n_groups), 0
-    return float(np.mean(nnz)), float(np.mean(ngroups)), len(nnz)
+    # integer counts, so the float64 sums are exact in any order
+    nnz = np.frombuffer(log.nnz, dtype=np.int32)[structural]
+    ngroups = np.frombuffer(log.n_groups, dtype=np.int32)[structural]
+    if nnz.min() < 0 or ngroups.min() < 0:
+        raise ValidationError("a fuse or split event has no nnz or n_groups")
+    return float(nnz.mean()), float(ngroups.mean()), int(nnz.size)
 
 
 @dataclass(frozen=True)
@@ -220,15 +222,26 @@ def emit_contour(weights, n_angles: int = 720) -> np.ndarray:
     return np.column_stack((radius * np.cos(phi), radius * np.sin(phi)))
 
 
+#: the largest p_max :func:`emit_sphericity_curve` accepts
+SPHERICITY_P_MAX = 10**7
+
+
 def emit_sphericity_curve(p_max: int) -> np.ndarray:
     """(p, rho_p) table for p = 1..p_max, thinned log-spaced above 1000.
 
     Each row's rho_p is :func:`.weights.sphericity_ratio` of its p, bit for
-    bit, so a row costs O(p): about 9 ms for p_max = 10,000 and 0.23 s for
-    p_max = 1,000,000 (medians, 2-core Xeon VM).
+    bit, so a row costs O(p) time and memory: about 9 ms for p_max = 10,000
+    and 0.23 s for p_max = 1,000,000 (medians, 2-core Xeon VM), and about
+    32 bytes per p for the row's design vector and its temporaries.  So
+    p_max must be between 1 and ``SPHERICITY_P_MAX`` = 10**7 (some 320 MB);
+    anything else raises :class:`ValidationError` before any allocation.
     """
     if p_max < 1:
         raise ValidationError("p_max must be >= 1")
+    if p_max > SPHERICITY_P_MAX:
+        raise ValidationError(
+            f"p_max must be at most {SPHERICITY_P_MAX:,}, got {p_max:,}: the row at p holds "
+            f"about 32 bytes per p, some {32 * SPHERICITY_P_MAX // 10**6} MB at the bound")
     keep = set(range(1, min(p_max, 1000) + 1))
     if p_max > 1000:
         extra = np.unique(np.round(np.logspace(

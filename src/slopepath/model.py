@@ -4,8 +4,10 @@ Everything here is regarded as immutable after construction except
 :class:`GroupStructure`, the plain record of one point's groups that the
 structure reader, the grouped-Gram builder and the optimality check share.
 A solution path, traced or loaded, is its events plus its knots (beta and
-the slope where the slope changes); :class:`KnotSegments` builds its
-segments on access, and a path file stores the same events and knots.
+the slope where the slope changes).  :class:`EventLog` holds the events as
+typed columns and :class:`KnotSegments` the knots; each builds its
+:class:`PathEvent` or :class:`PathSegment` objects on access, and a path
+file stores the same events and knots.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, starmap
 from pathlib import Path
 from typing import Iterator
 
@@ -37,6 +40,7 @@ __all__ = [
     "WeightRay",
     "GroupStructure",
     "PathEvent",
+    "EventLog",
     "PathSegment",
     "SolutionPath",
     "validate_instance",
@@ -52,6 +56,10 @@ __all__ = [
 SINGULARITY_RTOL = 1e-10
 
 EVENT_KINDS = ("fuse", "split", "switch_order", "switch_sign", "terminate")
+#: an event's code in :class:`EventLog`'s kind column: its place in EVENT_KINDS
+KIND_CODES = {kind: code for code, kind in enumerate(EVENT_KINDS)}
+#: PathEvent's fields, in order, and the keys of a path file's event record
+_EVENT_FIELDS = ("kind", "eta", "g", "k", "nnz", "n_groups")
 
 
 @dataclass(frozen=True)
@@ -212,7 +220,7 @@ def scatter_groups(order, offsets, signs, grouped) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathEvent:
     """A breakpoint of the path.
 
@@ -222,7 +230,9 @@ class PathEvent:
     is a group vanishing into zero), split carries (g, k) with k >= 2 for
     nonzero groups and k >= 1 for activations out of the zero group,
     switch_order carries the lower position k in 1..p-1.  ``nnz`` and
-    ``n_groups`` record the state immediately after the event.
+    ``n_groups`` record the state immediately after the event.  A path's
+    events are built on access from its :class:`EventLog`, so compare them
+    by value, not by identity.
     """
 
     kind: str
@@ -237,19 +247,79 @@ class PathEvent:
             raise ValidationError(f"unknown event kind {self.kind!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "eta": self.eta,
-            "g": self.g,
-            "k": self.k,
-            "nnz": self.nnz,
-            "n_groups": self.n_groups,
-        }
+        return {name: getattr(self, name) for name in _EVENT_FIELDS}
+
+
+def _fields(code: int, eta: float, g: int, k: int, nnz: int, n_groups: int) -> tuple:
+    """One row of an :class:`EventLog` as PathEvent's fields, in order."""
+    return (EVENT_KINDS[code], eta, None if g < 0 else g, None if k < 0 else k,
+            None if nnz < 0 else nnz, None if n_groups < 0 else n_groups)
+
+
+class EventLog(Sequence):
+    """A path's events as six typed columns, 25 bytes per event: ``kind``
+    (int8, the place in ``EVENT_KINDS``), ``eta`` (float64), and ``g``,
+    ``k``, ``nnz`` and ``n_groups`` (int32, -1 for None).
+
+    A read-only sequence of :class:`PathEvent` that builds each event on
+    access: ``len``, int and slice indexing (a slice is a tuple) and
+    iteration as for a tuple of events, and equal to any sequence of equal
+    events.  Only :func:`run_path` and :func:`load_path` append, while
+    they build the path.
+    """
+
+    def __init__(self, events=()):
+        self.kind = array("b")
+        self.eta = array("d")
+        self.g, self.k, self.nnz, self.n_groups = (array("i") for _ in range(4))
+        for e in events:
+            self.append(e.kind, e.eta, e.g, e.k, e.nnz, e.n_groups)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "PathEvent":
-        return cls(kind=d["kind"], eta=float(d["eta"]), g=d.get("g"), k=d.get("k"),
-                   nnz=d.get("nnz"), n_groups=d.get("n_groups"))
+    def of(cls, events) -> "EventLog":
+        """``events`` itself when it is a log, else a log of its events."""
+        return events if isinstance(events, EventLog) else cls(events)
+
+    @property
+    def columns(self) -> tuple:
+        return self.kind, self.eta, self.g, self.k, self.nnz, self.n_groups
+
+    def append(self, kind: str, eta: float, g=None, k=None, nnz=None, n_groups=None) -> None:
+        code = KIND_CODES.get(kind)
+        if code is None:
+            raise ValidationError(f"unknown event kind {kind!r}")
+        self.kind.append(code)
+        self.eta.append(eta)
+        self.g.append(-1 if g is None else g)
+        self.k.append(-1 if k is None else k)
+        self.nnz.append(-1 if nnz is None else nnz)
+        self.n_groups.append(-1 if n_groups is None else n_groups)
+
+    def rows(self, start: int = 0, stop: int | None = None) -> Iterator[tuple]:
+        """The fields of events ``start`` to ``stop``, as tuples in
+        PathEvent's order, with no event built."""
+        return map(_fields, *(c[start:stop] for c in self.columns))
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(starmap(PathEvent, map(_fields, *(c[i] for c in self.columns))))
+        return PathEvent(*_fields(*(c[i] for c in self.columns)))
+
+    def __iter__(self) -> Iterator[PathEvent]:
+        return starmap(PathEvent, map(_fields, *self.columns))
+
+    def __eq__(self, other):
+        if isinstance(other, EventLog):
+            return self.columns == other.columns
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"EventLog({len(self)} events)"
 
 
 @dataclass(frozen=True)
@@ -259,7 +329,9 @@ class PathSegment:
     A path builds its segments on access (:class:`KnotSegments`):
     ``slope``, and ``beta_start`` where it is a stored knot, are the path's
     own arrays, shared by every segment built from them, so do not write
-    to either."""
+    to either.  ``ending_event`` is built from the path's :class:`EventLog`
+    with the segment, so it equals, but is not, the path's event at that
+    position."""
 
     eta_start: float
     eta_end: float
@@ -294,33 +366,44 @@ class KnotSegments(Sequence):
 
     A segment ends at each event that moves eta past the segment's start
     (coincident and absorbed events end none), and its start value is beta
-    after every event before its ending event.  ``len`` and ``starts``
-    need no replay.  Indexing replays from the segment built last when it
-    lies after the same knot and before the one asked for, and from the
-    knot otherwise, so iteration (``Sequence``'s, by index) replays each
-    event once.  Only the segment built last is kept, so the path stays
-    compact however much of it was read.
+    after every event before its ending event.  Only the ending events'
+    positions are stored; a segment starts at the previous one's eta.
+    ``len``, ``starts`` and ``locate`` need no replay.  Indexing replays
+    from the segment built last when it lies after the same knot and
+    before the one asked for, and from the knot otherwise, so iteration
+    (``Sequence``'s, by index) replays each event once.  Only the segment
+    built last is kept, so the path stays compact however much of it was
+    read.
     """
 
     def __init__(self, events, knot_at, knot_eta, betas, slopes):
-        self._events = events
+        self._events = events = EventLog.of(events)
         self._at, self._eta, self._betas, self._slopes = knot_at, knot_eta, betas, slopes
         for a in (*betas, *slopes):
             a.flags.writeable = False
-        self.starts = array("d")
         self._ends = array("q")
         eta = 0.0
-        for j, event in enumerate(events):
-            if event.eta > eta:
-                self.starts.append(eta)
+        for j, t in enumerate(events.eta):
+            if t > eta:
                 self._ends.append(j)
-                eta = event.eta
+                eta = t
         # the segment built last, as (index, segment): reading a segment
         # and then evaluating the path inside it replays once
         self._last = (-1, None)
 
     def __len__(self) -> int:
         return len(self._ends)
+
+    @property
+    def starts(self) -> array:
+        """Each segment's ``eta_start``, formed on each access."""
+        eta, ends = self._events.eta, self._ends
+        return array("d", (eta[ends[i - 1]] if i else 0.0 for i in range(len(ends))))
+
+    def locate(self, eta: float) -> int:
+        """The index of the segment whose [eta_start, eta_end) holds
+        ``eta``, or ``len(self)`` from the last segment's end on."""
+        return bisect.bisect_right(self._ends, eta, key=self._events.eta.__getitem__)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -340,8 +423,7 @@ class KnotSegments(Sequence):
         # every event from there to the end is a switch after knot k: the
         # engine's advance step, in its order
         slope = self._slopes[k]
-        for event in self._events[done:end]:
-            t = event.eta
+        for t in self._events.eta[done:end]:
             if t < eta:
                 t = eta  # absorbed at the current position
             beta = beta + (t - eta) * slope
@@ -350,7 +432,8 @@ class KnotSegments(Sequence):
 
     def _segment(self, i: int, end: int, k: int, beta: np.ndarray) -> PathSegment:
         event = self._events[end]
-        seg = PathSegment(self.starts[i], event.eta, beta, self._slopes[k], event)
+        start = self._events.eta[self._ends[i - 1]] if i else 0.0
+        seg = PathSegment(start, event.eta, beta, self._slopes[k], event)
         self._last = (i, seg)
         return seg
 
@@ -363,11 +446,16 @@ class SolutionPath:
     loaded one alike: beta is stored once per knot, ``len(path.segments)``
     is cheap, and each indexed segment is replayed from the segment built
     last, the one segment kept, or from its nearest knot; iterating
-    replays each event once."""
+    replays each event once.  ``events`` is an :class:`EventLog` (any
+    sequence of events given is stored as one), a read-only sequence
+    whose events are built on access and compare by value."""
 
     segments: KnotSegments
-    events: tuple[PathEvent, ...]
+    events: EventLog
     provenance: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "events", EventLog.of(self.events))
 
     @property
     def eta_end(self) -> float:
@@ -375,7 +463,8 @@ class SolutionPath:
 
     def breakpoints(self) -> Iterator[PathEvent]:
         """Events excluding the terminal marker."""
-        return (e for e in self.events if e.kind != "terminate")
+        stop = KIND_CODES["terminate"]
+        return compress(self.events, (code != stop for code in self.events.kind))
 
 
 # --- validation ----------------------------------------------------------
@@ -549,8 +638,20 @@ def save_path(path: SolutionPath, jsonl_path) -> None:
             if not k or slope is not segs._slopes[k - 1]:
                 knot["slope"] = slope.tolist()
             fh.write(json.dumps(knot) + "\n")
-            for e in events[at:end]:
-                fh.write(json.dumps({"record": "event", "event": e.to_dict()}) + "\n")
+            for row in events.rows(at, end):
+                event = dict(zip(_EVENT_FIELDS, row))
+                fh.write(json.dumps({"record": "event", "event": event}) + "\n")
+
+
+def _append_event(log: EventLog, d) -> None:
+    """Append the event record ``d`` of a path file to ``log``."""
+    if not isinstance(d, dict):
+        raise ValidationError("the event is not a JSON object")
+    counts = [d.get(key) for key in _EVENT_FIELDS[2:]]
+    if not all(c is None or (type(c) is int and 0 <= c < 2**31) for c in counts):
+        raise ValidationError("an event's g, k, nnz and n_groups must be null "
+                              "or integers in [0, 2**31)")
+    log.append(d["kind"], float(d["eta"]), *counts)
 
 
 def _knot_vector(rec: dict, key: str, betas: list) -> np.ndarray:
@@ -568,15 +669,18 @@ def _knot_vector(rec: dict, key: str, betas: list) -> np.ndarray:
 
 def load_path(jsonl_path) -> SolutionPath:
     """Read a path saved by :func:`save_path` into the form a traced path
-    has: a knot record without ``slope`` shares the previous knot's array.
+    has: the events in an :class:`EventLog`, and a knot record without
+    ``slope`` sharing the previous knot's array.
 
     Raises :class:`ValidationError`, naming the file and the line, on a
     line that is not a JSON object, a record that lacks a field it needs
-    or holds a value of the wrong type or length, a null or non-finite
-    entry in a knot's ``beta`` or ``slope``, an event before the first knot, a first knot without ``slope``, and a ``segment`` record,
-    which only the old per-segment format wrote."""
+    or holds a value of the wrong type or length, an event whose g, k,
+    nnz or n_groups is neither null nor an int32 count, a null or
+    non-finite entry in a knot's ``beta`` or ``slope``, an event before
+    the first knot, a first knot without ``slope``, and a ``segment``
+    record, which only the old per-segment format wrote."""
     provenance: dict = {}
-    events: list[PathEvent] = []
+    events = EventLog()
     knot_at, knot_eta, betas, slopes = [], [], [], []
     with Path(jsonl_path).open() as fh:
         for line_no, line in enumerate(fh, 1):
@@ -591,9 +695,7 @@ def load_path(jsonl_path) -> SolutionPath:
                     raise ValidationError("not a JSON object")
                 kind = rec.get("record")
                 if kind == "event":
-                    if not isinstance(rec["event"], dict):
-                        raise ValidationError("the event is not a JSON object")
-                    events.append(PathEvent.from_dict(rec["event"]))
+                    _append_event(events, rec["event"])
                     if not betas:
                         raise ValidationError("an event precedes the first knot")
                 elif kind == "knot":
@@ -616,24 +718,23 @@ def load_path(jsonl_path) -> SolutionPath:
                                       f"the record has no {exc} field") from None
             except (ValidationError, TypeError, ValueError) as exc:
                 raise ValidationError(f"{jsonl_path}, line {line_no}: {exc}") from None
-    events = tuple(events)
     return SolutionPath(segments=KnotSegments(events, knot_at, knot_eta, betas, slopes),
                         events=events, provenance=provenance)
 
 
 def eval_path(path: SolutionPath, eta: float) -> np.ndarray:
     """Coefficients at a parameter value, by binary search over the
-    segment starts.
+    segment ends.
 
     At a breakpoint the right segment's value is returned (equal to the
     left limit by continuity).
     """
-    starts = path.segments.starts
-    if not starts:
+    segments = path.segments
+    if not segments:
         raise OutOfRangeError("path has no segments")
     if not eta >= 0:  # NaN too
         raise OutOfRangeError(f"eta must be nonnegative, got {eta}")
-    seg = path.segments[bisect.bisect_right(starts, eta) - 1]
+    seg = segments[min(segments.locate(eta), len(segments) - 1)]
     if eta >= seg.eta_end:
         raise OutOfRangeError(f"eta={eta} is beyond the path horizon {seg.eta_end}")
     return seg.value(eta)

@@ -219,6 +219,13 @@ class TestContourAndSphericity:
         assert lines[0] == "p,rho"
         assert lines[1].startswith("1,1.0")
 
+    def test_sphericity_past_the_bound_exit_code(self, capsys):
+        assert run_cli(["sphericity", "--p-max", "10000001"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: p_max must be at most 10,000,000") \
+            and "320 MB" in captured.err
+
 
 class TestConfigAndErrors:
     def test_config_supplies_defaults(self, tmp_path, capsys):

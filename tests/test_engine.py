@@ -1263,3 +1263,41 @@ class TestLam0Property:
         for seg, nxt in zip(path.segments, path.segments[1:]):
             gap = np.max(np.abs(seg.value(seg.eta_end) - nxt.beta_start))
             assert gap <= 1e-9 * (1.0 + np.max(np.abs(nxt.beta_start)))
+
+
+_REVERSAL_SIZES = [(1, 10, 100), (1, 20, 200), (2, 12, 60), (2, 20, 200)]
+
+
+class TestTimeReversal:
+    """The downward path from beta = 0, lam(eta) = (eta0 - eta) * lam_bar,
+    traced by the same engine, is the upward path run backwards: a fuse
+    going up is a split going down, at eta0 - eta.  gauss is left out: its
+    weights tie, and tied weights order coincident events freely."""
+
+    @staticmethod
+    def _counts(path):
+        diag = path.provenance["diagnostics"]
+        return {kind: diag[f"{kind}_events"] for kind in ("fuse", "split", "switch",
+                                                          "sign_switch")}
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("design", ["bh", "oscar", "qs"])
+    @pytest.mark.parametrize("scenario, p, n", _REVERSAL_SIZES,
+                             ids=[f"s{s}-p{p}-n{n}" for s, p, n in _REVERSAL_SIZES])
+    def test_downward_path_mirrors_the_upward_one(self, scenario, p, n, design, seed):
+        inst, _ = generate(ScenarioSpec(scenario=scenario, p=p, n=n, seed=seed))
+        lam_bar = design_sequence(design, p, n=n)
+        up = run_path(inst, validate_ray(np.zeros(p), lam_bar))
+        # beta = 0 exactly when every prefix of |X^T y| sorted descending
+        # sums to at most eta times the prefix of lam_bar sorted descending
+        prefix = np.cumsum(np.sort(np.abs(inst.xty))[::-1])
+        eta0 = 1.001 * float(np.max(prefix / np.cumsum(lam_bar[::-1])))
+        down = run_path(inst, validate_ray(eta0 * lam_bar, -lam_bar))
+
+        counts, mirrored = self._counts(up), self._counts(down)
+        mirrored["fuse"], mirrored["split"] = mirrored["split"], mirrored["fuse"]
+        assert counts == mirrored
+        for going_up, going_down in (("fuse", "split"), ("split", "fuse")):
+            want = sorted(e.eta for e in up.events if e.kind == going_up)
+            got = sorted(eta0 - e.eta for e in down.events if e.kind == going_down)
+            assert got == pytest.approx(want, rel=1e-9, abs=0)

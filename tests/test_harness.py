@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -172,3 +173,15 @@ class TestSphericityCurve:
     def test_invalid_pmax(self):
         with pytest.raises(ValidationError):
             emit_sphericity_curve(0)
+
+    def test_pmax_past_the_bound_allocates_nothing(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="at most 10,000,000, got 10,000,001: "
+                                                      "the row at p holds about 32 bytes per p, "
+                                                      "some 320 MB at the bound"):
+                emit_sphericity_curve(10**7 + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000

@@ -37,7 +37,7 @@ from slopepath.errors import (
     ValidationError,
     ZeroDirectionError,
 )
-from slopepath.model import KnotSegments, instance_hash, scatter_groups
+from slopepath.model import EventLog, KnotSegments, instance_hash, scatter_groups
 
 
 class TestGroupStructure:
@@ -389,10 +389,16 @@ class TestSerialization:
         ('{"record": "segment", "eta_start": 0.0}',
          "line 2: a segment record: the file uses the old per-segment format"),
         ('{"record": "knots"}', "line 2: unknown record 'knots'"),
+        ('{"record": "event", "event": {"kind": "fuse", "eta": 1.0, "g": -1}}',
+         "line 2: an event's g, k, nnz and n_groups must be null or integers in [0, 2**31)"),
+        ('{"record": "event", "event": {"kind": "fuse", "eta": 1.0, "k": 2.0}}',
+         "line 2: an event's g, k, nnz and n_groups must be null or integers in [0, 2**31)"),
+        ('{"record": "event", "event": {"kind": "fuse", "eta": 1.0, "nnz": 2147483648}}',
+         "line 2: an event's g, k, nnz and n_groups must be null or integers in [0, 2**31)"),
     ], ids=["no-event", "not-json", "not-object", "event-not-object", "unknown-kind",
             "event-before-knot", "first-knot-no-slope", "beta-not-list", "short-slope",
             "long-first-beta", "null-beta", "null-slope", "old-segment-format",
-            "unknown-record"])
+            "unknown-record", "negative-g", "float-k", "nnz-past-int32"])
     def test_malformed_path_file(self, tmp_path, t2_instance, t2_ray, bad_line, message):
         file = tmp_path / "path.jsonl"
         save_path(run_path(t2_instance, t2_ray), file)
@@ -410,6 +416,41 @@ class TestSerialization:
         back = load_path(tmp_path / "path.jsonl")
         assert back.provenance["options"] == {"iteration_cap": 40, "validate_every": 3,
                                               **tolerances}
+
+
+class TestEventLog:
+    EVENTS = (PathEvent("split", 0.5, 0, 1, 1, 1), PathEvent("switch_order", 0.75, k=3),
+              PathEvent("fuse", 1.0, 0, None, 0, 0), PathEvent("terminate", math.inf, nnz=0))
+
+    def test_sequence_protocol(self):
+        log = EventLog(self.EVENTS)
+        assert len(log) == 4 and log
+        assert list(log) == list(self.EVENTS)
+        for i in (0, 2, -1, -4):
+            assert log[i] == self.EVENTS[i]
+        for cut in (slice(None), slice(1, 3), slice(None, None, -2), slice(9, None)):
+            assert log[cut] == self.EVENTS[cut] and isinstance(log[cut], tuple)
+        for bad in (4, -5):
+            with pytest.raises(IndexError):
+                log[bad]
+        assert list(log.rows(1, 3)) == [tuple(e.to_dict().values()) for e in self.EVENTS[1:3]]
+        assert log.g.tolist() == [0, -1, 0, -1] and log.kind.tolist() == [1, 2, 0, 4]
+
+    def test_events_compare_by_value(self):
+        log = EventLog(self.EVENTS)
+        assert log[0] == log[0] and log[0] is not log[0]
+        assert log == EventLog(self.EVENTS) and log == self.EVENTS and log == list(self.EVENTS)
+        assert self.EVENTS == log and list(self.EVENTS) == log
+        assert log != self.EVENTS[:3] and log != EventLog(self.EVENTS[:3])
+        changed = EventLog((*self.EVENTS[:3], PathEvent("terminate", math.inf, nnz=1)))
+        assert log != changed and changed != self.EVENTS
+        assert EventLog.of(log) is log
+        assert SolutionPath(segments=KnotSegments((), [], [], [], []), events=self.EVENTS).events \
+            == log
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValidationError, match="unknown event kind 'bounce'"):
+            EventLog().append("bounce", 1.0)
 
 
 class TestPathGeometry:

@@ -229,8 +229,14 @@ class TestKnotSegments:
         path = self._path()
         shared = 0
         built = list(path.segments)
-        position = {id(e): j for j, e in enumerate(path.events)}
-        ends = [position[id(s.ending_event)] for s in built]
+        # events are built on access, so a segment's ending event is found
+        # by position: the next event that moves eta past the segment start
+        ends, eta = [], 0.0
+        for j, e in enumerate(path.events):
+            if e.eta > eta:
+                ends.append(j)
+                eta = e.eta
+        assert [path.events[j] for j in ends] == [s.ending_event for s in built]
         for i, (a, b) in enumerate(zip(built, built[1:])):
             kinds = {e.kind for e in path.events[ends[i]:ends[i + 1]]}
             if not kinds & set(STRUCTURAL):
@@ -313,34 +319,42 @@ class TestZeroLevelKnots:
         assert path.provenance["diagnostics"]["stored_knots"] > 1 + structural
 
 
+def _retained(trace):
+    """What ``trace()`` returns, and the bytes it leaves allocated."""
+    gc.collect()
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    kept = trace()
+    gc.collect()
+    after = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    return kept, after - before
+
+
 class TestRetainedMemory:
-    def test_one_beta_per_knot(self):
-        p = 60
+    @staticmethod
+    def _case(p=60):
         inst, _ = generate(ScenarioSpec(scenario=1, p=p, n=10 * p, seed=0))
         ray = validate_ray(np.zeros(p), design_sequence("bh", p, q=0.1))
         validate_instance(inst)
+        return inst, ray
 
-        def retained(trace):
-            gc.collect()
-            tracemalloc.start()
-            before = tracemalloc.get_traced_memory()[0]
-            kept = trace()
-            gc.collect()
-            after = tracemalloc.get_traced_memory()[0]
-            tracemalloc.stop()
-            return kept, after - before
-
-        path, knots_bytes = retained(lambda: run_path(inst, ray))
-        _, eager_bytes = retained(lambda: eager_run_path(inst, ray))
+    def test_one_beta_per_knot(self):
+        p = 60
+        inst, ray = self._case(p)
+        path, knots_bytes = _retained(lambda: run_path(inst, ray))
+        _, eager_bytes = _retained(lambda: eager_run_path(inst, ray))
         events = len(path.events)
         knots = path.provenance["diagnostics"]["stored_knots"]
         vector = 8 * p
         assert knots < 0.75 * events
         # the eager recorder keeps a beta per event and a slope per knot,
         # knots keep both per knot: the path holds events - knots fewer
-        # vectors, and a few small objects per event besides
+        # vectors.  A knot's two arrays also cost their ndarray headers and
+        # the knot's position and eta (about 310 bytes), and an event
+        # costs about 36 bytes in columns; per-event objects cost 200 more
         assert eager_bytes >= vector * (events + knots)
-        assert knots_bytes <= vector * 2 * knots + 600 * events + 100_000
+        assert knots_bytes <= (vector + 160) * 2 * knots + 64 * events + 100_000
         assert knots_bytes <= eager_bytes - vector * (events - knots)
 
         def walk():
@@ -348,4 +362,24 @@ class TestRetainedMemory:
                 eval_path(path, seg.eta_start)
 
         # reading every segment keeps at most the one built last
-        assert retained(walk)[1] <= 2 * vector + 1_000
+        assert _retained(walk)[1] <= 2 * vector + 1_000
+
+    def test_events_cost_at_most_40_bytes_each(self):
+        # beyond its knots, a path keeps 25 bytes per event in the event
+        # columns and 8 per segment in the segment ends, each array
+        # over-allocated by at most 1/16; the provenance does not grow
+        # with the events and is left out
+        inst, ray = self._case()
+        run_path(inst, ray)  # forms what the instance caches
+
+        def trace_and_drop_knots():
+            path = run_path(inst, ray)
+            segs = path.segments
+            for knots in (segs._betas, segs._slopes, segs._at, segs._eta):
+                knots.clear()
+            path.provenance.clear()
+            return path
+
+        path, kept = _retained(trace_and_drop_knots)
+        assert len(path.segments) > 2000
+        assert kept <= 40 * len(path.events)
