@@ -61,6 +61,7 @@ from .model import (
     EventLog,
     GroupStructure,
     KnotSegments,
+    KnotStore,
     ProblemInstance,
     SolutionPath,
     WeightRay,
@@ -326,11 +327,11 @@ class EngineState:
         j = self.group_of_position(pos)
         return j + 1, pos - self.slice_of_group(j)[0] + 1
 
-    def scatter_beta(self) -> np.ndarray:
-        return scatter_groups(self.order, self.starts, self.s, self.levels)
+    def scatter_beta(self, out: np.ndarray | None = None) -> np.ndarray:
+        return scatter_groups(self.order, self.starts, self.s, self.levels, out)
 
-    def scatter_slope(self) -> np.ndarray:
-        return scatter_groups(self.order, self.starts, self.s, self.slopeG)
+    def scatter_slope(self, out: np.ndarray | None = None) -> np.ndarray:
+        return scatter_groups(self.order, self.starts, self.s, self.slopeG, out)
 
     # -- linear algebra maintenance --
 
@@ -829,9 +830,12 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
     try:
         state = EngineState(instance, ray, options)
         # knots: beta and the slope where the slope may change, and where a
-        # switch leaves a grouped value on an exact zero (see KnotSegments)
-        knot_at, knot_eta = [0], [0.0]
-        betas, slopes = [state.scatter_beta()], [state.scatter_slope()]
+        # switch leaves a grouped value on an exact zero (see KnotSegments),
+        # scattered straight into the store's next free rows
+        knots = KnotStore(instance.p)
+        beta, slope = knots.add(0, new_slope=True)
+        state.scatter_beta(beta)
+        state.scatter_slope(slope)
         while True:
             t, kind, idx = state.next_event()
             if t >= ray.eta_max or math.isinf(t):
@@ -849,11 +853,11 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
                 state.gram_checks.append((state.n_events, state.scratch_check()))
             structural = kind == "fuse" or kind == "split"
             if structural or np.count_nonzero(state.levels) < state.levels.size:
-                knot_at.append(len(events))
-                knot_eta.append(state.eta)
-                betas.append(state.scatter_beta())
-                # a switch leaves the slope as it was: its knots share the array
-                slopes.append(state.scatter_slope() if structural else slopes[-1])
+                # a switch leaves the slope as it was: its knot reuses the row
+                beta, slope = knots.add(len(events), new_slope=structural)
+                state.scatter_beta(beta)
+                if structural:
+                    state.scatter_slope(slope)
     except NumericalError as exc:
         exc.add_context(instance_hash(instance), ray.describe(), len(events),
                         [(e.kind, e.eta, e.g, e.k) for e in events[-8:]])
@@ -879,8 +883,8 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
             "suppressed_bounces": dict(state.suppressed),
             "insert_memo": dict(state.insert_memo),
             "gram_checks": [[i, err] for i, err in state.gram_checks],
-            "stored_knots": len(betas),
+            "stored_knots": len(knots),
         },
     }
-    return SolutionPath(segments=KnotSegments(events, knot_at, knot_eta, betas, slopes),
-                        events=events, provenance=provenance)
+    return SolutionPath(segments=KnotSegments(events, knots), events=events,
+                        provenance=provenance)

@@ -5,9 +5,10 @@ Everything here is regarded as immutable after construction except
 structure reader, the grouped-Gram builder and the optimality check share.
 A solution path, traced or loaded, is its events plus its knots (beta and
 the slope where the slope changes).  :class:`EventLog` holds the events as
-typed columns and :class:`KnotSegments` the knots; each builds its
-:class:`PathEvent` or :class:`PathSegment` objects on access, and a path
-file stores the same events and knots.
+typed columns and :class:`KnotStore` the knots as float64 row blocks;
+the events and the path's :class:`KnotSegments` build each
+:class:`PathEvent` or :class:`PathSegment` on access, and a path file
+stores the same events and knots.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, starmap
+from itertools import compress, repeat, starmap
 from pathlib import Path
 from typing import Iterator
 
@@ -211,11 +212,16 @@ class GroupStructure:
         return np.split(np.array(self.order, dtype=int), self.offsets[:-1])
 
 
-def scatter_groups(order, offsets, signs, grouped) -> np.ndarray:
+def scatter_groups(order, offsets, signs, grouped, out=None) -> np.ndarray:
     """Coefficient-space vector holding -signs[i] * grouped[j] for every
-    member i of nonzero group j, and zero on the zero group."""
+    member i of nonzero group j, and zero on the zero group, written into
+    ``out`` when it is given (a knot's row, say) and into a new array
+    otherwise."""
     members = order[offsets[0]:]
-    out = np.zeros(order.size)
+    if out is None:
+        out = np.zeros(order.size)
+    else:
+        out.fill(0.0)
     out[members] = -signs[members] * grouped.repeat(offsets[1:] - offsets[:-1])
     return out
 
@@ -327,10 +333,11 @@ class PathSegment:
     """One linear piece beta(eta) = beta_start + (eta - eta_start) * slope.
 
     A path builds its segments on access (:class:`KnotSegments`):
-    ``slope``, and ``beta_start`` where it is a stored knot, are the path's
-    own arrays, shared by every segment built from them, so do not write
-    to either.  ``ending_event`` is built from the path's :class:`EventLog`
-    with the segment, so it equals, but is not, the path's event at that
+    ``slope``, and ``beta_start`` where it is a stored knot, are read-only
+    views into the path's knot blocks (:class:`KnotStore`), and segments
+    built one after another from the same slope row share one view.
+    ``ending_event`` is built from the path's :class:`EventLog` with the
+    segment, so it equals, but is not, the path's event at that
     position."""
 
     eta_start: float
@@ -349,9 +356,74 @@ class PathSegment:
         return self.beta_start + (eta - self.eta_start) * self.slope
 
 
+#: rows in each float64 block of a path's knot vectors
+_BLOCK_ROWS = 128
+
+
+class _Rows:
+    """Float64 rows of p entries in blocks of ``_BLOCK_ROWS`` rows,
+    allocated as they fill.  :meth:`new` hands out the next free row,
+    writable; indexing reads row i through a read-only view of its block,
+    so a read sets no flag."""
+
+    def __init__(self, p: int):
+        self.p, self.n = p, 0
+        self.blocks, self._read_only = [], []
+
+    def new(self) -> np.ndarray:
+        b, r = divmod(self.n, _BLOCK_ROWS)
+        if not r:
+            block = np.empty((_BLOCK_ROWS, self.p))
+            view = block.view()
+            view.flags.writeable = False
+            self.blocks.append(block)
+            self._read_only.append(view)
+        self.n += 1
+        return self.blocks[b][r]
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self._read_only[i // _BLOCK_ROWS][i % _BLOCK_ROWS]
+
+
+class KnotStore:
+    """A path's knots.  Beta at each knot and each distinct slope are
+    float64 rows (:class:`_Rows`, blocks of ``_BLOCK_ROWS`` rows);
+    ``at[k]`` (int64) is the number of events applied when knot k was
+    taken and ``slope_row[k]`` (int32) the row of its slope, which a knot
+    whose slope is the previous one's reuses.  Beyond its rows, a knot
+    costs 12 bytes.  Only :func:`run_path` and :func:`load_path` add
+    knots, filling the rows :meth:`add` hands out; :meth:`beta` and
+    :meth:`slope` read read-only views."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.at = array("q")
+        self.slope_row = array("i")
+        self.betas, self.slopes = _Rows(p), _Rows(p)
+
+    def __len__(self) -> int:
+        return len(self.at)
+
+    def add(self, at: int, new_slope: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        """Take a knot after ``at`` events.  Returns its beta row and,
+        when ``new_slope``, a new slope row (else None: the knot shares the
+        previous knot's), both writable and for the caller to fill."""
+        beta = self.betas.new()
+        slope = self.slopes.new() if new_slope else None
+        self.at.append(at)
+        self.slope_row.append(self.slopes.n - 1)
+        return beta, slope
+
+    def beta(self, k: int) -> np.ndarray:
+        return self.betas[k]
+
+    def slope(self, k: int) -> np.ndarray:
+        return self.slopes[self.slope_row[k]]
+
+
 class KnotSegments(Sequence):
     """The segments of a path, traced or loaded by :func:`load_path`,
-    read-only and built on access from its knots.
+    read-only and built on access from its knots (:class:`KnotStore`).
 
     A knot holds beta and the slope at the start and after each fuse or
     split, the events that change the slope.  A switch only advances the
@@ -360,9 +432,10 @@ class KnotSegments(Sequence):
     slope``, with eta_new = max(event eta, eta), replays beta bit for bit.
     The one exception is a grouped value landing exactly on zero, whose
     sign bit the replay cannot know: the recorder stores such a switch as a
-    knot too, sharing its slope array.  ``knot_at[k]`` is the number of
-    events applied when knot k was taken and ``knot_eta[k]`` the state's
-    eta then.
+    knot too, reusing the previous knot's slope row.  A knot's eta is the
+    running maximum of the event etas before it, read off the events in
+    the scan that finds the segment ends, and kept in ``_eta``.  A
+    segment's arrays are read-only views into the path's blocks.
 
     A segment ends at each event that moves eta past the segment's start
     (coincident and absorbed events end none), and its start value is beta
@@ -376,23 +449,42 @@ class KnotSegments(Sequence):
     read.
     """
 
-    def __init__(self, events, knot_at, knot_eta, betas, slopes):
+    def __init__(self, events, knots: KnotStore):
         self._events = events = EventLog.of(events)
-        self._at, self._eta, self._betas, self._slopes = knot_at, knot_eta, betas, slopes
-        for a in (*betas, *slopes):
-            a.flags.writeable = False
-        self._ends = array("q")
+        self._knots = knots
+        self._ends, self._eta = array("q"), array("d")
+        at, n, k = knots.at, len(knots), 0
         eta = 0.0
         for j, t in enumerate(events.eta):
             if t > eta:
+                # the knots taken since eta last moved reached this eta
+                while k < n and at[k] <= j:
+                    self._eta.append(eta)
+                    k += 1
                 self._ends.append(j)
                 eta = t
-        # the segment built last, as (index, segment): reading a segment
-        # and then evaluating the path inside it replays once
-        self._last = (-1, None)
+        self._eta.extend(repeat(eta, n - k))
+        # the segment built last, as (index, segment, its slope row):
+        # reading a segment and then evaluating the path inside it replays
+        # once, and the next segment on the same row shares its slope view
+        self._last = (-1, None, -1)
 
     def __len__(self) -> int:
         return len(self._ends)
+
+    @property
+    def _at(self) -> array:
+        return self._knots.at
+
+    @property
+    def _betas(self) -> tuple:
+        """Each knot's beta, a read-only view."""
+        return tuple(map(self._knots.beta, range(len(self._knots))))
+
+    @property
+    def _slopes(self) -> tuple:
+        """Each knot's slope, a read-only view."""
+        return tuple(map(self._knots.slope, range(len(self._knots))))
 
     @property
     def starts(self) -> array:
@@ -411,30 +503,32 @@ class KnotSegments(Sequence):
         end = self._ends[i]  # negative and out-of-range i as for a tuple
         if i < 0:
             i += len(self._ends)
-        j, seg = self._last
+        j, seg, last_row = self._last
         if j == i:
             return seg
         k = bisect.bisect_right(self._at, end) - 1
-        done, beta, eta = self._at[k], self._betas[k], self._eta[k]
+        row = self._knots.slope_row[k]
+        slope = seg.slope if row == last_row else self._knots.slope(k)
+        done, beta, eta = self._at[k], self._knots.beta(k), self._eta[k]
         if 0 <= j < i and self._ends[j] >= done:
             # resume from the segment built last, after the same knot: its
             # start is beta and eta after its ending event's predecessors
             done, beta, eta = self._ends[j], seg.beta_start, seg.eta_start
         # every event from there to the end is a switch after knot k: the
         # engine's advance step, in its order
-        slope = self._slopes[k]
         for t in self._events.eta[done:end]:
             if t < eta:
                 t = eta  # absorbed at the current position
             beta = beta + (t - eta) * slope
             eta = t
-        return self._segment(i, end, k, beta)
+        return self._segment(i, end, row, beta, slope)
 
-    def _segment(self, i: int, end: int, k: int, beta: np.ndarray) -> PathSegment:
+    def _segment(self, i: int, end: int, row: int, beta: np.ndarray,
+                 slope: np.ndarray) -> PathSegment:
         event = self._events[end]
         start = self._events.eta[self._ends[i - 1]] if i else 0.0
-        seg = PathSegment(start, event.eta, beta, self._slopes[k], event)
-        self._last = (i, seg)
+        seg = PathSegment(start, event.eta, beta, slope, event)
+        self._last = (i, seg, row)
         return seg
 
 
@@ -443,12 +537,14 @@ class SolutionPath:
     """Ordered segments and events covering eta in [0, eta_max).
 
     ``segments`` is a :class:`KnotSegments` view, for a traced path and a
-    loaded one alike: beta is stored once per knot, ``len(path.segments)``
-    is cheap, and each indexed segment is replayed from the segment built
-    last, the one segment kept, or from its nearest knot; iterating
-    replays each event once.  ``events`` is an :class:`EventLog` (any
-    sequence of events given is stored as one), a read-only sequence
-    whose events are built on access and compare by value."""
+    loaded one alike: beta is stored once per knot, in float64 row blocks,
+    ``len(path.segments)`` is cheap, and each indexed segment is replayed
+    from the segment built last, the one segment kept, or from its nearest
+    knot; iterating replays each event once.  A segment's ``slope``, and
+    its ``beta_start`` at a knot, are read-only views into those blocks.
+    ``events`` is an :class:`EventLog` (any sequence of events given is
+    stored as one), a read-only sequence whose events are built on access
+    and compare by value."""
 
     segments: KnotSegments
     events: EventLog
@@ -626,17 +722,17 @@ def load_instance(csv_path) -> ProblemInstance:
 def save_path(path: SolutionPath, jsonl_path) -> None:
     """Write a path as JSON lines: a header record with the provenance,
     then each knot (its ``eta``, ``beta`` and ``slope``, leaving ``slope``
-    out where it is the previous knot's array) followed by the events
+    out where it is the previous knot's row) followed by the events
     applied after it, writing each record as it is formed."""
     segs, events = path.segments, path.events
-    ends = (*segs._at[1:], len(events))
-    knots = zip(segs._at, ends, segs._betas, segs._slopes)
+    knots = segs._knots
+    ends = (*knots.at[1:], len(events))
     with Path(jsonl_path).open("w") as fh:
         fh.write(json.dumps({"record": "header", "provenance": path.provenance}) + "\n")
-        for k, (at, end, beta, slope) in enumerate(knots):
-            knot = {"record": "knot", "eta": segs._eta[k], "beta": beta.tolist()}
-            if not k or slope is not segs._slopes[k - 1]:
-                knot["slope"] = slope.tolist()
+        for k, (at, end) in enumerate(zip(knots.at, ends)):
+            knot = {"record": "knot", "eta": segs._eta[k], "beta": knots.beta(k).tolist()}
+            if not k or knots.slope_row[k] != knots.slope_row[k - 1]:
+                knot["slope"] = knots.slope(k).tolist()
             fh.write(json.dumps(knot) + "\n")
             for row in events.rows(at, end):
                 event = dict(zip(_EVENT_FIELDS, row))
@@ -654,34 +750,38 @@ def _append_event(log: EventLog, d) -> None:
     log.append(d["kind"], float(d["eta"]), *counts)
 
 
-def _knot_vector(rec: dict, key: str, betas: list) -> np.ndarray:
+def _knot_vector(rec: dict, key: str, knots: KnotStore | None) -> np.ndarray:
     """``rec[key]`` as a float vector as long as the first knot's beta."""
     vec = np.array(rec[key], dtype=float)
     if vec.ndim != 1:
         raise ValidationError(f"{key} is not a list of numbers")
     if not np.isfinite(vec).all():  # a null reads as NaN
         raise ValidationError(f"{key} holds a null or non-finite entry")
-    if betas and vec.size != betas[0].size:
+    if knots is not None and vec.size != knots.p:
         raise ValidationError(f"{key} has {vec.size} entries, "
-                              f"the first knot's beta {betas[0].size}")
+                              f"the first knot's beta {knots.p}")
     return vec
 
 
 def load_path(jsonl_path) -> SolutionPath:
     """Read a path saved by :func:`save_path` into the form a traced path
-    has: the events in an :class:`EventLog`, and a knot record without
-    ``slope`` sharing the previous knot's array.
+    has: the events in an :class:`EventLog` and the knots in a
+    :class:`KnotStore`, where a knot record without ``slope`` reuses the
+    previous knot's slope row.
 
     Raises :class:`ValidationError`, naming the file and the line, on a
     line that is not a JSON object, a record that lacks a field it needs
     or holds a value of the wrong type or length, an event whose g, k,
     nnz or n_groups is neither null nor an int32 count, a null or
-    non-finite entry in a knot's ``beta`` or ``slope``, an event before
-    the first knot, a first knot without ``slope``, and a ``segment``
-    record, which only the old per-segment format wrote."""
+    non-finite entry in a knot's ``beta`` or ``slope``, a knot whose
+    ``eta`` is not, bit for bit, the float its preceding events reached
+    (the largest of 0.0 and their etas), an event before the first knot,
+    a first knot without ``slope``, and a ``segment`` record, which only
+    the old per-segment format wrote."""
     provenance: dict = {}
     events = EventLog()
-    knot_at, knot_eta, betas, slopes = [], [], [], []
+    knots = None
+    reached = 0.0  # the eta the events read so far reached
     with Path(jsonl_path).open() as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
@@ -696,16 +796,25 @@ def load_path(jsonl_path) -> SolutionPath:
                 kind = rec.get("record")
                 if kind == "event":
                     _append_event(events, rec["event"])
-                    if not betas:
+                    if knots is None:
                         raise ValidationError("an event precedes the first knot")
+                    if events.eta[-1] > reached:
+                        reached = events.eta[-1]
                 elif kind == "knot":
-                    if not (slopes or "slope" in rec):
+                    if knots is None and "slope" not in rec:
                         raise ValidationError("the first knot has no slope")
-                    knot_at.append(len(events))
-                    knot_eta.append(float(rec["eta"]))
-                    betas.append(_knot_vector(rec, "beta", betas))
-                    slopes.append(_knot_vector(rec, "slope", betas) if "slope" in rec
-                                  else slopes[-1])
+                    eta = rec["eta"]
+                    if type(eta) is not float or eta.hex() != reached.hex():
+                        raise ValidationError(f"knot eta {eta!r} is not {reached!r}, "
+                                              "the eta its preceding events reached")
+                    beta = _knot_vector(rec, "beta", knots)
+                    if knots is None:
+                        knots = KnotStore(beta.size)
+                    slope = _knot_vector(rec, "slope", knots) if "slope" in rec else None
+                    beta_row, slope_row = knots.add(len(events), slope is not None)
+                    beta_row[:] = beta
+                    if slope is not None:
+                        slope_row[:] = slope
                 elif kind == "header":
                     provenance = rec.get("provenance", {})
                 elif kind == "segment":
@@ -718,8 +827,10 @@ def load_path(jsonl_path) -> SolutionPath:
                                       f"the record has no {exc} field") from None
             except (ValidationError, TypeError, ValueError) as exc:
                 raise ValidationError(f"{jsonl_path}, line {line_no}: {exc}") from None
-    return SolutionPath(segments=KnotSegments(events, knot_at, knot_eta, betas, slopes),
-                        events=events, provenance=provenance)
+    if knots is None:
+        knots = KnotStore(0)
+    return SolutionPath(segments=KnotSegments(events, knots), events=events,
+                        provenance=provenance)
 
 
 def eval_path(path: SolutionPath, eta: float) -> np.ndarray:

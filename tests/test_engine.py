@@ -1301,3 +1301,70 @@ class TestTimeReversal:
             want = sorted(e.eta for e in up.events if e.kind == going_up)
             got = sorted(eta0 - e.eta for e in down.events if e.kind == going_down)
             assert got == pytest.approx(want, rel=1e-9, abs=0)
+
+
+def _lars_lasso_kinks(inst):
+    """The kinks (eta, beta) of the lasso path, minimising 0.5 ||y - X b||^2
+    + eta ||b||_1, by the LARS-lasso homotopy (Efron et al. 2004; Osborne,
+    Presnell & Turlach 2000) run upward from least squares.  On a segment
+    the active coefficients move along -G_AA^-1 s_A; an active coordinate
+    leaves when it reaches zero, and an inactive j enters with the sign of
+    c_j when |c_j| reaches eta, where c = X^T y - G beta."""
+    G, Xty = inst.X.T @ inst.X, inst.X.T @ inst.y
+    p = Xty.size
+    beta = np.linalg.solve(G, Xty)
+    active, signs = np.ones(p, dtype=bool), np.sign(beta)
+    eta, kinks = 0.0, [(0.0, beta.copy())]
+    while True:
+        A = np.flatnonzero(active)
+        d = np.zeros(p)
+        d[A] = -np.linalg.solve(G[np.ix_(A, A)], signs[A]) if A.size else 0.0
+        c, a = Xty - G @ beta, -G @ d  # the correlations and their rate in eta
+        tol = 1e-10 * (1.0 + eta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # |c_j + step a_j| = eta + step: c_j reaching +eta or -eta; a
+            # coordinate that just left sits on one of them, at step ~ 0
+            roots = np.stack([(eta - c) / (a - 1.0), (-eta - c) / (a + 1.0)])
+            roots[~(roots > tol)] = np.inf
+            steps = np.where(active, -beta / d, roots.min(axis=0))
+        steps[~(steps > tol)] = np.inf
+        j = int(np.argmin(steps))
+        if not np.isfinite(steps[j]):
+            return kinks
+        beta, eta = beta + steps[j] * d, eta + steps[j]
+        if active[j]:
+            active[j], beta[j] = False, 0.0
+        else:
+            active[j], signs[j] = True, np.sign(c[j] + steps[j] * a[j])
+        kinks.append((eta, beta.copy()))
+
+
+_LARS_SIZES = [(1, 10, 100), (1, 20, 200), (2, 12, 60), (2, 20, 200)]
+
+
+class TestLarsOracle:
+    """With every weight equal, SLOPE is the lasso: the engine's path must
+    be the LARS-lasso homotopy's, and every breakpoint of the engine that
+    is not a lasso kink must leave beta's slope unchanged."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("scenario, p, n", _LARS_SIZES,
+                             ids=[f"s{s}-p{p}-n{n}" for s, p, n in _LARS_SIZES])
+    def test_tied_weights_trace_the_lasso(self, scenario, p, n, seed):
+        inst, _ = generate(ScenarioSpec(scenario=scenario, p=p, n=n, seed=seed))
+        path = run_path(inst, validate_ray(np.zeros(p), np.ones(p)))
+        kinks = _lars_lasso_kinks(inst)
+        etas = np.array([eta for eta, _ in kinks])
+        points = list(kinks) + [(0.5 * (e0 + e1), 0.5 * (b0 + b1))
+                                for (e0, b0), (e1, b1) in zip(kinks, kinks[1:])]
+        for eta, beta in points:
+            scale = 1.0 + float(np.max(np.abs(beta)))
+            assert np.max(np.abs(eval_path(path, eta) - beta)) <= 1e-9 * scale
+        segments = list(path.segments)
+        for left, right in zip(segments, segments[1:]):
+            t = left.eta_end
+            if np.min(np.abs(etas - t)) > 1e-9 * (1.0 + t):
+                scale = 1.0 + float(np.max(np.abs(left.slope)))
+                assert np.max(np.abs(right.slope - left.slope)) <= 1e-8 * scale
+        last = [e.eta for e in path.breakpoints()][-1]
+        assert last == pytest.approx(etas[-1], rel=0, abs=1e-9)

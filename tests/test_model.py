@@ -18,6 +18,7 @@ from slopepath import (
     SolutionPath,
     WeightRay,
     bh_sequence,
+    design_sequence,
     eval_path,
     load_instance,
     load_path,
@@ -37,7 +38,7 @@ from slopepath.errors import (
     ValidationError,
     ZeroDirectionError,
 )
-from slopepath.model import EventLog, KnotSegments, instance_hash, scatter_groups
+from slopepath.model import EventLog, KnotSegments, KnotStore, instance_hash, scatter_groups
 
 
 class TestGroupStructure:
@@ -54,6 +55,10 @@ class TestGroupStructure:
         beta = scatter_groups(order, offsets, signs, levels)
         assert np.array_equal(beta, expected)
         assert not np.any(np.signbit(beta[order[:2]]))  # +0.0 on the zero group
+        # into a row that held other bits: the same bits, +0.0 included
+        row = np.full(9, -7.5)
+        assert scatter_groups(order, offsets, signs, levels, row) is row
+        assert np.array_equal(row.view(np.int64), beta.view(np.int64))
 
 
 class TestValidateInstance:
@@ -243,9 +248,10 @@ def _save_path_joined(path, jsonl_path):
     segs, events = path.segments, path.events
     out = [json.dumps({"record": "header", "provenance": path.provenance})]
     ends = (*segs._at[1:], len(events))
+    rows = segs._knots.slope_row
     for k, (at, end, beta, slope) in enumerate(zip(segs._at, ends, segs._betas, segs._slopes)):
         knot = {"record": "knot", "eta": segs._eta[k], "beta": beta.tolist()}
-        if not k or slope is not segs._slopes[k - 1]:
+        if not k or rows[k] != rows[k - 1]:
             knot["slope"] = slope.tolist()
         out.append(json.dumps(knot))
         out.extend(json.dumps({"record": "event", "event": e.to_dict()}) for e in events[at:end])
@@ -407,6 +413,25 @@ class TestSerialization:
         with pytest.raises(ValidationError, match=re.escape(f"{file}, {message}")):
             load_path(file)
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -1.0, "0.5", "reached"],
+                             ids=["nan", "infinity", "negative", "string", "reached-as-string"])
+    def test_knot_eta_must_be_the_eta_its_events_reached(self, tmp_path, eta):
+        # a knot's eta is where its replay starts: eval_path read NaN or a
+        # wrong beta from a corrupted one, so load_path takes none but the
+        # float its preceding events reached
+        inst, _ = generate(ScenarioSpec(scenario=1, p=20, n=100, seed=0))
+        path = run_path(inst, validate_ray(np.zeros(20), design_sequence("qs", 20)))
+        file = tmp_path / "path.jsonl"
+        save_path(path, file)
+        lines = file.read_text().splitlines()
+        line_no = [i for i, line in enumerate(lines, 1) if '"record": "knot"' in line][1]
+        rec = json.loads(lines[line_no - 1])
+        rec["eta"] = repr(rec["eta"]) if eta == "reached" else eta
+        lines[line_no - 1] = json.dumps(rec)
+        file.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{file}, line {line_no}: knot eta")):
+            load_path(file)
+
     def test_path_options_round_trip(self, tmp_path, t2_instance, t2_ray):
         tolerances = dict(timing_clamp=2e-10, tie_rtol=3e-12, negative_margin_rtol=2e-7,
                           group_tol_scale=5e-8, probe_tol=2e-6)
@@ -445,7 +470,7 @@ class TestEventLog:
         changed = EventLog((*self.EVENTS[:3], PathEvent("terminate", math.inf, nnz=1)))
         assert log != changed and changed != self.EVENTS
         assert EventLog.of(log) is log
-        assert SolutionPath(segments=KnotSegments((), [], [], [], []), events=self.EVENTS).events \
+        assert SolutionPath(segments=KnotSegments((), KnotStore(0)), events=self.EVENTS).events \
             == log
 
     def test_unknown_kind(self):
@@ -506,7 +531,10 @@ class TestEvalPath:
 
     def test_out_of_range_messages(self):
         end = PathEvent(kind="terminate", eta=3.0)
-        segments = KnotSegments((end,), [0], [0.0], [np.ones(1)], [np.zeros(1)])
+        knots = KnotStore(1)
+        beta, slope = knots.add(0, new_slope=True)
+        beta[:], slope[:] = 1.0, 0.0
+        segments = KnotSegments((end,), knots)
         path = SolutionPath(segments=segments, events=(end,))
         for eta, message in [(-0.5, "eta must be nonnegative, got -0.5"),
                              (math.nan, "eta must be nonnegative, got nan"),
@@ -514,7 +542,7 @@ class TestEvalPath:
             with pytest.raises(OutOfRangeError, match=re.escape(message)):
                 eval_path(path, eta)
         with pytest.raises(OutOfRangeError, match="path has no segments"):
-            eval_path(SolutionPath(segments=KnotSegments((), [], [], [], []), events=()), 0.0)
+            eval_path(SolutionPath(segments=KnotSegments((), KnotStore(0)), events=()), 0.0)
 
     def test_matches_segment_scan(self, tmp_path):
         inst, _ = generate(ScenarioSpec(scenario=1, p=10, n=50, seed=4))

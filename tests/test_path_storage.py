@@ -28,6 +28,7 @@ from slopepath import (
     validate_ray,
 )
 from slopepath.datagen import ScenarioSpec, generate
+from slopepath.model import _BLOCK_ROWS
 from slopepath.weights import design_sequence
 
 STRUCTURAL = ("fuse", "split")
@@ -258,8 +259,7 @@ class TestKnotSegments:
         traced, knots = path.segments, loaded.segments
         assert type(knots) is type(traced)
         assert knots._at == traced._at
-        assert [a is b for a, b in zip(knots._slopes, knots._slopes[1:])] \
-            == [a is b for a, b in zip(traced._slopes, traced._slopes[1:])]
+        assert knots._knots.slope_row == traced._knots.slope_row
         shares = _shares(list(knots))
         assert shares == _shares(list(traced)) and any(shares) and not all(shares)
         for a in (*knots._betas, *knots._slopes):
@@ -312,8 +312,8 @@ class TestZeroLevelKnots:
         structural = sum(e.kind in STRUCTURAL for e in path.events)
         assert len(planted) == 2
         # such a knot shares the slope, so its record leaves the slope out
-        slopes = path.segments._slopes
-        shared = sum(a is b for a, b in zip(slopes, slopes[1:]))
+        rows = path.segments._knots.slope_row
+        shared = sum(a == b for a, b in zip(rows, rows[1:]))
         records = map(json.loads, (tmp_path / "path.jsonl").read_text().splitlines())
         assert sum(r["record"] == "knot" and "slope" not in r for r in records) == shared > 0
         assert path.provenance["diagnostics"]["stored_knots"] > 1 + structural
@@ -329,6 +329,14 @@ def _retained(trace):
     after = tracemalloc.get_traced_memory()[0]
     tracemalloc.stop()
     return kept, after - before
+
+
+def _drop_knots(path):
+    """``path`` with its knot store emptied in place and no knot etas."""
+    segs = path.segments
+    segs._knots.__init__(segs._knots.p)
+    del segs._eta[:]
+    return path
 
 
 class TestRetainedMemory:
@@ -350,11 +358,13 @@ class TestRetainedMemory:
         assert knots < 0.75 * events
         # the eager recorder keeps a beta per event and a slope per knot,
         # knots keep both per knot: the path holds events - knots fewer
-        # vectors.  A knot's two arrays also cost their ndarray headers and
-        # the knot's position and eta (about 310 bytes), and an event
-        # costs about 36 bytes in columns; per-event objects cost 200 more
+        # vectors.  A knot's rows sit in blocks of _BLOCK_ROWS, one partly
+        # filled per kind, and its position, slope row and eta cost about
+        # 20 bytes; an event costs about 36 bytes in columns, and per-event
+        # objects cost 200 more
         assert eager_bytes >= vector * (events + knots)
-        assert knots_bytes <= (vector + 160) * 2 * knots + 64 * events + 100_000
+        blocks = 2 * _BLOCK_ROWS * vector
+        assert knots_bytes <= (vector + 16) * 2 * knots + 64 * events + 100_000 + blocks
         assert knots_bytes <= eager_bytes - vector * (events - knots)
 
         def walk():
@@ -373,13 +383,24 @@ class TestRetainedMemory:
         run_path(inst, ray)  # forms what the instance caches
 
         def trace_and_drop_knots():
-            path = run_path(inst, ray)
-            segs = path.segments
-            for knots in (segs._betas, segs._slopes, segs._at, segs._eta):
-                knots.clear()
+            path = _drop_knots(run_path(inst, ray))
             path.provenance.clear()
             return path
 
         path, kept = _retained(trace_and_drop_knots)
         assert len(path.segments) > 2000
         assert kept <= 40 * len(path.events)
+
+    def test_knots_cost_at_most_24_bytes_each_beyond_their_rows(self):
+        # a knot's position (8 bytes), slope row (4) and eta (8), each
+        # array over-allocated by at most 1/16, beside its beta and slope
+        # rows and the blocks holding them, one per kind partly filled
+        inst, ray = self._case()
+        run_path(inst, ray)  # forms what the instance caches
+        path, kept = _retained(lambda: run_path(inst, ray))
+        _, without = _retained(lambda: _drop_knots(run_path(inst, ray)))
+        knots = path.segments._knots
+        vector = 8 * inst.p
+        rows = (len(knots) + knots.slopes.n) * vector
+        assert len(knots) > 1000
+        assert kept - without <= rows + 2 * _BLOCK_ROWS * vector + 24 * len(knots)
