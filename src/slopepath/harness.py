@@ -155,6 +155,8 @@ def run_experiment(scenario: int, sizes, designs, replicates: int,
     """
     if replicates < 1:
         raise ValidationError(f"replicates must be at least 1, got {replicates}")
+    if threads < 1:
+        raise ValidationError(f"threads must be at least 1, got {threads}")
     params = dict(DEFAULT_DESIGN_PARAMS)
     if design_params:
         params.update(design_params)

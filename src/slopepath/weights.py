@@ -9,6 +9,7 @@ factor in.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
@@ -51,22 +52,147 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 #: elements evaluated per pass of the kernel; bounds the temporaries (the
-#: Python floats handed to libm above all) to a few MB whatever the input size
+#: numpy ones of the erfc formula and the exp certificate, and the Python
+#: floats handed to libm) to a few MB whatever the input size
 _QUANTILE_CHUNK = 1 << 14
 
 #: inputs up to this size go element by element: below it, numpy's fixed
 #: cost per call exceeds the per-element cost of Python floats
 _SCALAR_MAX = 64
 
+#: erfc inputs up to this size go to libm element by element: below it, the
+#: numpy formula's fixed cost per call exceeds libm's per-element cost
+_ERFC_LIBM_MAX = 800
+
 
 def _libm(fn, a: np.ndarray) -> np.ndarray:
     """``fn`` from :mod:`math` on each element: numpy's exp and log may
-    round differently from the C library, and numpy has no erfc."""
+    round differently from the C library, and numpy has no erfc (s_erf.c's
+    formulas below stand in for it only where |t| < 1.25)."""
     return np.fromiter(map(fn, a.tolist()), float, a.size)
 
 
+def _double(words: str) -> float:
+    """The double whose IEEE high and low words are ``words`` (hex)."""
+    return struct.unpack(">d", bytes.fromhex(words.replace(" ", "")))[0]
+
+
+# erfc on |t| < 1.25 as the C library computes it: glibc's erfc is fdlibm's
+# s_erf.c, a rational formula in + - * / alone, which numpy rounds as C
+# does, so evaluated in the same order it gives libm's bits.  The constants
+# are s_erf.c's, as its high and low words: erx, pp0-pp4, qq1-qq5, pa0-pa6
+# and qa1-qa6.
+_ERX = _double("3FEB0AC1 60000000")
+_ERF_PP = tuple(map(_double, ("3FC06EBA 8214DB68", "BFD4CD7D 691CB913", "BF9D2A51 DBD7194F",
+                          "BF77A291 236668E4", "BEF8EAD6 120016AC")))
+_ERF_QQ = tuple(map(_double, ("3FD97779 CDDADC09", "3FB0A54C 5536CEBA", "3F74D022 C4D36B0F",
+                          "3F215DC9 221C1A10", "BED09C43 42A26120")))
+_ERF_PA = tuple(map(_double, ("BF6359B8 BEF77538", "3FDA8D00 AD92B34D", "BFD7D240 FBB8C3F1",
+                          "3FD45FCA 805120E4", "BFBC6398 3D3E28EC", "3FA22A36 599795EB",
+                          "BF61BF38 0A96073F")))
+_ERF_QA = tuple(map(_double, ("3FBB3E66 18EEE323", "3FE14AF0 92EB6F33", "3FB2635C D99FE9A7",
+                              "3FC02660 E763351F", "3F8BEDC2 6B51DD1C", "3F888B54 5735151D")))
+
+
+def _erfc_near_zero(t):
+    """s_erf.c's erfc on |t| < 0.84375, floats or arrays alike.
+
+    Each operation is s_erf.c's, on the same operands; working in place
+    keeps an array's temporaries to five.  s_erf.c returns 1 - t below
+    |t| = 2^-56, which this gives too: t + t y rounds away against 1.
+    """
+    z = t * t
+    z2 = z * z
+    r = z * _ERF_PP[1]
+    r += _ERF_PP[0]
+    a = z * _ERF_PP[3]
+    a += _ERF_PP[2]
+    a *= z2
+    r += a
+    s = z * _ERF_QQ[0]
+    s += 1.0
+    a = z * _ERF_QQ[2]
+    a += _ERF_QQ[1]
+    a *= z2
+    s += a
+    a = z * _ERF_QQ[4]
+    a += _ERF_QQ[3]
+    z2 *= z2  # z4
+    a *= z2
+    z2 *= _ERF_PP[4]
+    r += z2  # r1 + z2 r2 + z4 pp4
+    s += a  # s1 + z2 s2 + z4 s3
+    r /= s
+    r *= t  # t y
+    del z, z2, a, s
+    # 1 - (t + t y) below t = 1/4 and 0.5 - (t y + (t - 0.5)) from it on:
+    # t - 0 and 1 - 0 are exact, so one expression gives both
+    h = 0.5 * (t >= 0.25)
+    r += t - h
+    return (1.0 - h) - r
+
+
+def _erfc_near_one(t):
+    """s_erf.c's erfc on 0.84375 <= |t| < 1.25, floats or arrays alike."""
+    s = abs(t) - 1.0
+    s2 = s * s
+    p = s * _ERF_PA[1]
+    p += _ERF_PA[0]
+    q = s * _ERF_QA[0]
+    q += 1.0
+    a = s * _ERF_PA[3]
+    a += _ERF_PA[2]
+    a *= s2
+    p += a
+    a = s * _ERF_QA[2]
+    a += _ERF_QA[1]
+    a *= s2
+    q += a
+    s4 = s2 * s2
+    a = s * _ERF_PA[5]
+    a += _ERF_PA[4]
+    a *= s4
+    p += a
+    a = s * _ERF_QA[4]
+    a += _ERF_QA[3]
+    a *= s4
+    q += a
+    s4 *= s2  # s6
+    a = s4 * _ERF_PA[6]
+    p += a
+    s4 *= _ERF_QA[5]
+    q += s4
+    p /= q
+    # s_erf.c returns (1 - erx) - P/Q for t >= 0 and 1 + (erx + P/Q) for
+    # t < 0; with k = erx where t < 0 and 0 elsewhere, one expression,
+    # ((1 - erx) + k) - (+-P/Q - k), gives both with the same roundings:
+    # (1 - erx) + erx = 1 and P/Q - 0 = P/Q exactly, -P/Q - erx = -(erx + P/Q)
+    neg = t < 0.0
+    k = _ERX * neg
+    p *= 1.0 - 2.0 * neg
+    p -= k
+    return ((1.0 - _ERX) + k) - p
+
+
 def _erfc(a: np.ndarray) -> np.ndarray:
-    return _libm(math.erfc, a)
+    """:func:`math.erfc` on each element of the 1-d ``a``: through s_erf.c's
+    formulas where |t| < 1.25, which give glibc's bits, and through
+    :mod:`math` on the rest (NaN included) and on inputs of at most
+    ``_ERFC_LIBM_MAX`` elements."""
+    if a.size <= _ERFC_LIBM_MAX:
+        return _libm(math.erfc, a)
+    # the near-zero formula runs on the whole chunk (cheaper than gathering
+    # the 77% of a set-up's arguments it covers), and the other elements
+    # overwrite it; on them it may overflow or divide by zero, unseen
+    with np.errstate(all="ignore"):
+        out = _erfc_near_zero(a)
+        far = (~(np.abs(a) < 0.84375)).nonzero()[0]
+        t = a[far]
+        v = _erfc_near_one(t)
+        rest = (~(np.abs(t) < 1.25)).nonzero()[0]
+        v[rest] = _libm(math.erfc, t[rest])
+        out[far] = v
+    return out
 
 
 def _exp(a: np.ndarray) -> np.ndarray:
@@ -193,11 +319,13 @@ def normal_quantile(u):
     refinement).  ``u=0`` and ``u=1`` map to -inf and +inf; a scalar
     argument returns a Python float.  Inputs of more than ``_SCALAR_MAX``
     elements run on whole numpy chunks of ``_QUANTILE_CHUNK`` elements:
-    log (in the tails) and erfc go element by element through :mod:`math`,
-    and the Halley step's exp is numpy's, certified element by element to
-    give libm's result and recomputed through :mod:`math` where it is not.
-    Smaller inputs go element by element.  Either way the draws equal, bit
-    for bit, those of the element-at-a-time recipe.
+    log (in the tails) goes element by element through :mod:`math`; the
+    Halley step's erfc is glibc's own formula in numpy where |t| < 1.25
+    (on more than ``_ERFC_LIBM_MAX`` elements) and :mod:`math` elsewhere;
+    its exp is numpy's, certified element by element to give libm's result
+    and recomputed through :mod:`math` where it is not.  Smaller inputs go
+    element by element.  Either way the draws equal, bit for bit, those of
+    the element-at-a-time recipe on glibc.
     """
     arr = np.asarray(u, dtype=float)
     flat = arr.reshape(-1)

@@ -242,6 +242,20 @@ class TestConfigAndErrors:
         values = [float(x) for x in capsys.readouterr().out.split()]
         assert values == pytest.approx(qs_sequence(2))
 
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, via_config):
+        bench = ["bench", "--scenario", "1", "--sizes", "4x20", "--replicates", "1"]
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"threads": -4}))
+            args = ["--config", cfg, *bench]
+        else:
+            args = ["--threads", "-4", *bench]
+        assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: threads must be at least 1, got -4\n"
+
     def test_numerical_error_exit_code(self, monkeypatch, capsys):
         import slopepath.cli as cli_mod
 

@@ -101,6 +101,13 @@ class TestRunExperiment:
             run_experiment(scenario=1, sizes=[(4, 20)], designs=["qs"],
                            replicates=replicates, seed_base=0)
 
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_no_threads_rejected(self, threads):
+        # a count below 1 used to run serially without a word
+        with pytest.raises(ValidationError, match=f"threads must be at least 1, got {threads}"):
+            run_experiment(scenario=1, sizes=[(4, 20)], designs=["qs"],
+                           replicates=1, seed_base=0, threads=threads)
+
     def test_table_output_mentions_convention(self):
         report = run_experiment(scenario=2, sizes=[(4, 24)], designs=["qs"],
                                 replicates=2, seed_base=3)

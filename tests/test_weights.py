@@ -18,8 +18,12 @@ from slopepath import (
 from slopepath import harness, weights
 from slopepath.weights import (
     DEFAULT_DESIGN_PARAMS,
+    _ERFC_LIBM_MAX,
     _QUANTILE_CHUNK,
     _SCALAR_MAX,
+    _erfc,
+    _erfc_near_one,
+    _erfc_near_zero,
     _halley_array,
     _quantile_chunk,
 )
@@ -239,6 +243,68 @@ class TestCertifiedExp:
         redo = self._count_redo(monkeypatch)
         assert np.array_equal(normal_quantile(u).view(np.int64), expected)
         assert sum(redo) < 1e-4 * u.size
+
+
+def _ulps_around(edge: float, count: int) -> np.ndarray:
+    """The doubles within ``count`` ulps of ``edge``, edge included."""
+    bits = np.array([edge]).view(np.int64)[0]
+    return np.arange(bits - count, bits + count + 1).view(float)
+
+
+def _erfc_bits_equal(t: np.ndarray) -> None:
+    """The formulas' array and float forms, and ``_erfc``, give
+    :func:`math.erfc`'s bits on every element of ``t``."""
+    expected = np.array([math.erfc(v) for v in t.tolist()]).view(np.int64)
+    assert np.array_equal(_erfc(t).view(np.int64), expected)
+    near_zero = np.abs(t) < 0.84375
+    near_one = ~near_zero & (np.abs(t) < 1.25)
+    for formula, inside in ((_erfc_near_zero, near_zero), (_erfc_near_one, near_one)):
+        if inside.any():
+            assert np.array_equal(formula(t[inside]).view(np.int64), expected[inside])
+            floats = [formula(v) for v in t[inside].tolist()]
+            assert all(type(v) is float for v in floats)
+            assert np.array_equal(np.array(floats).view(np.int64), expected[inside])
+
+
+class TestErfcFormula:
+    """The Halley step's erfc on |t| < 1.25 is s_erf.c's formula in numpy,
+    which is glibc's erfc: these tests pin glibc's bits, on the platform CI
+    runs on.  On a C library whose erfc rounds otherwise they fail, and
+    draws of more than ``_ERFC_LIBM_MAX`` elements keep glibc's erfc where
+    |t| < 1.25 but take that library's elsewhere."""
+
+    @pytest.mark.parametrize("low, high", [(0.0, 0.84375), (0.84375, 1.25)],
+                             ids=["near-zero", "near-one"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+    def test_seeded_points(self, low, high, sign):
+        t = sign * np.random.default_rng([int(low * 8), int(sign > 0)]).uniform(low, high, 100_000)
+        _erfc_bits_equal(t)
+
+    @pytest.mark.parametrize("edge", [2.0 ** -56, 0.25, 0.84375, 1.25])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+    def test_branch_edges(self, edge, sign):
+        # 2^-56 and 0.25 are edges of s_erf.c's inner branches, 0.84375 and
+        # 1.25 of its formulas
+        _erfc_bits_equal(_ulps_around(sign * edge, 2000))
+
+    def test_zeros_and_subnormals(self):
+        tiny = 2.0 ** -1022
+        t = np.array([0.0, -0.0, 5e-324, -5e-324, tiny / 2, -tiny / 2,
+                      tiny - 5e-324, -(tiny - 5e-324), tiny, -tiny])
+        _erfc_bits_equal(np.concatenate([t] * 100))  # above the libm cutoff
+
+    def test_nonfinite_and_large_arguments_go_to_libm(self):
+        t = np.array([math.nan, math.inf, -math.inf, 1e300, -1e300, 30.0, -30.0, 0.5] * 200)
+        with np.errstate(all="raise"):
+            out = _erfc(t)
+        expected = np.array([math.erfc(v) for v in t.tolist()])
+        assert np.array_equal(out, expected, equal_nan=True)
+
+    @pytest.mark.parametrize("size", [_ERFC_LIBM_MAX - 1, _ERFC_LIBM_MAX, _ERFC_LIBM_MAX + 1])
+    def test_quantile_on_both_sides_of_the_libm_cutoff(self, size):
+        u = np.random.default_rng(size).uniform(size=size)
+        u[0], u[-1] = 1e-4, 1.0 - 1e-4  # both tails
+        _assert_bits_equal(u)
 
 
 class TestNormalQuantile:
