@@ -60,7 +60,6 @@ from .model import (
     KIND_CODES,
     EventLog,
     GroupStructure,
-    KnotSegments,
     KnotStore,
     ProblemInstance,
     SolutionPath,
@@ -829,11 +828,11 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
     # until it catches: a numerical failure leaves with what reproduces it
     try:
         state = EngineState(instance, ray, options)
-        # knots: beta and the slope where the slope may change, and where a
-        # switch leaves a grouped value on an exact zero (see KnotSegments),
-        # scattered straight into the store's next free rows
+        # knots: eta, beta and the slope where the slope may change, and
+        # where a switch leaves a grouped value on an exact zero (see
+        # KnotSegments), scattered straight into the store's next free rows
         knots = KnotStore(instance.p)
-        beta, slope = knots.add(0, new_slope=True)
+        beta, slope = knots.add(0, state.eta, new_slope=True)
         state.scatter_beta(beta)
         state.scatter_slope(slope)
         while True:
@@ -854,7 +853,7 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
             structural = kind == "fuse" or kind == "split"
             if structural or np.count_nonzero(state.levels) < state.levels.size:
                 # a switch leaves the slope as it was: its knot reuses the row
-                beta, slope = knots.add(len(events), new_slope=structural)
+                beta, slope = knots.add(len(events), state.eta, new_slope=structural)
                 state.scatter_beta(beta)
                 if structural:
                     state.scatter_slope(slope)
@@ -886,5 +885,4 @@ def run_path(instance: ProblemInstance, ray: WeightRay,
             "stored_knots": len(knots),
         },
     }
-    return SolutionPath(segments=KnotSegments(events, knots), events=events,
-                        provenance=provenance)
+    return SolutionPath(events=events, knots=knots, provenance=provenance)

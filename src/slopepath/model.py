@@ -3,10 +3,10 @@
 Everything here is regarded as immutable after construction except
 :class:`GroupStructure`, the plain record of one point's groups that the
 structure reader, the grouped-Gram builder and the optimality check share.
-A solution path, traced or loaded, is its events plus its knots (beta and
-the slope where the slope changes).  :class:`EventLog` holds the events as
-typed columns and :class:`KnotStore` the knots as float64 row blocks;
-the events and the path's :class:`KnotSegments` build each
+A solution path, traced or loaded, is exactly two stores: its events, in
+the typed columns of an :class:`EventLog`, and its knots (eta, beta and the
+slope where the slope changes), in a :class:`KnotStore` of float64 row
+blocks.  The events and the path's :class:`KnotSegments` build each
 :class:`PathEvent` or :class:`PathSegment` on access, and a path file
 stores the same events and knots.
 """
@@ -21,7 +21,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, repeat, starmap
+from itertools import compress, starmap
 from pathlib import Path
 from typing import Iterator
 
@@ -42,6 +42,7 @@ __all__ = [
     "GroupStructure",
     "PathEvent",
     "EventLog",
+    "KnotStore",
     "PathSegment",
     "SolutionPath",
     "validate_instance",
@@ -281,11 +282,6 @@ class EventLog(Sequence):
         for e in events:
             self.append(e.kind, e.eta, e.g, e.k, e.nnz, e.n_groups)
 
-    @classmethod
-    def of(cls, events) -> "EventLog":
-        """``events`` itself when it is a log, else a log of its events."""
-        return events if isinstance(events, EventLog) else cls(events)
-
     @property
     def columns(self) -> tuple:
         return self.kind, self.eta, self.g, self.k, self.nnz, self.n_groups
@@ -389,28 +385,33 @@ class KnotStore:
     """A path's knots.  Beta at each knot and each distinct slope are
     float64 rows (:class:`_Rows`, blocks of ``_BLOCK_ROWS`` rows);
     ``at[k]`` (int64) is the number of events applied when knot k was
-    taken and ``slope_row[k]`` (int32) the row of its slope, which a knot
-    whose slope is the previous one's reuses.  Beyond its rows, a knot
-    costs 12 bytes.  Only :func:`run_path` and :func:`load_path` add
-    knots, filling the rows :meth:`add` hands out; :meth:`beta` and
-    :meth:`slope` read read-only views."""
+    taken, ``eta[k]`` (float64) the eta they reached, the largest of 0.0
+    and their etas, and ``slope_row[k]`` (int32) the row of its slope,
+    which a knot whose slope is the previous one's reuses.  Beyond its
+    rows, a knot costs 20 bytes.  Only :func:`run_path` and
+    :func:`load_path` add knots, filling the rows :meth:`add` hands out;
+    :meth:`beta` and :meth:`slope` read read-only views."""
 
     def __init__(self, p: int):
         self.p = p
         self.at = array("q")
+        self.eta = array("d")
         self.slope_row = array("i")
         self.betas, self.slopes = _Rows(p), _Rows(p)
 
     def __len__(self) -> int:
         return len(self.at)
 
-    def add(self, at: int, new_slope: bool) -> tuple[np.ndarray, np.ndarray | None]:
-        """Take a knot after ``at`` events.  Returns its beta row and,
-        when ``new_slope``, a new slope row (else None: the knot shares the
-        previous knot's), both writable and for the caller to fill."""
+    def add(self, at: int, eta: float,
+            new_slope: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        """Take a knot at ``eta``, after ``at`` events.  Returns its beta
+        row and, when ``new_slope``, a new slope row (else None: the knot
+        shares the previous knot's), both writable and for the caller to
+        fill."""
         beta = self.betas.new()
         slope = self.slopes.new() if new_slope else None
         self.at.append(at)
+        self.eta.append(eta)
         self.slope_row.append(self.slopes.n - 1)
         return beta, slope
 
@@ -423,7 +424,8 @@ class KnotStore:
 
 class KnotSegments(Sequence):
     """The segments of a path, traced or loaded by :func:`load_path`,
-    read-only and built on access from its knots (:class:`KnotStore`).
+    read-only and built on access from its ``events`` and ``knots``, the
+    path's own :class:`EventLog` and :class:`KnotStore`.
 
     A knot holds beta and the slope at the start and after each fuse or
     split, the events that change the slope.  A switch only advances the
@@ -432,10 +434,8 @@ class KnotSegments(Sequence):
     slope``, with eta_new = max(event eta, eta), replays beta bit for bit.
     The one exception is a grouped value landing exactly on zero, whose
     sign bit the replay cannot know: the recorder stores such a switch as a
-    knot too, reusing the previous knot's slope row.  A knot's eta is the
-    running maximum of the event etas before it, read off the events in
-    the scan that finds the segment ends, and kept in ``_eta``.  A
-    segment's arrays are read-only views into the path's blocks.
+    knot too, reusing the previous knot's slope row.  A segment's arrays
+    are read-only views into the path's blocks.
 
     A segment ends at each event that moves eta past the segment's start
     (coincident and absorbed events end none), and its start value is beta
@@ -449,21 +449,14 @@ class KnotSegments(Sequence):
     read.
     """
 
-    def __init__(self, events, knots: KnotStore):
-        self._events = events = EventLog.of(events)
-        self._knots = knots
-        self._ends, self._eta = array("q"), array("d")
-        at, n, k = knots.at, len(knots), 0
+    def __init__(self, events: EventLog, knots: KnotStore):
+        self.events, self.knots = events, knots
+        self._ends = array("q")
         eta = 0.0
         for j, t in enumerate(events.eta):
             if t > eta:
-                # the knots taken since eta last moved reached this eta
-                while k < n and at[k] <= j:
-                    self._eta.append(eta)
-                    k += 1
                 self._ends.append(j)
                 eta = t
-        self._eta.extend(repeat(eta, n - k))
         # the segment built last, as (index, segment, its slope row):
         # reading a segment and then evaluating the path inside it replays
         # once, and the next segment on the same row shares its slope view
@@ -473,29 +466,15 @@ class KnotSegments(Sequence):
         return len(self._ends)
 
     @property
-    def _at(self) -> array:
-        return self._knots.at
-
-    @property
-    def _betas(self) -> tuple:
-        """Each knot's beta, a read-only view."""
-        return tuple(map(self._knots.beta, range(len(self._knots))))
-
-    @property
-    def _slopes(self) -> tuple:
-        """Each knot's slope, a read-only view."""
-        return tuple(map(self._knots.slope, range(len(self._knots))))
-
-    @property
     def starts(self) -> array:
         """Each segment's ``eta_start``, formed on each access."""
-        eta, ends = self._events.eta, self._ends
+        eta, ends = self.events.eta, self._ends
         return array("d", (eta[ends[i - 1]] if i else 0.0 for i in range(len(ends))))
 
     def locate(self, eta: float) -> int:
         """The index of the segment whose [eta_start, eta_end) holds
         ``eta``, or ``len(self)`` from the last segment's end on."""
-        return bisect.bisect_right(self._ends, eta, key=self._events.eta.__getitem__)
+        return bisect.bisect_right(self._ends, eta, key=self.events.eta.__getitem__)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -506,17 +485,18 @@ class KnotSegments(Sequence):
         j, seg, last_row = self._last
         if j == i:
             return seg
-        k = bisect.bisect_right(self._at, end) - 1
-        row = self._knots.slope_row[k]
-        slope = seg.slope if row == last_row else self._knots.slope(k)
-        done, beta, eta = self._at[k], self._knots.beta(k), self._eta[k]
+        knots = self.knots
+        k = bisect.bisect_right(knots.at, end) - 1
+        row = knots.slope_row[k]
+        slope = seg.slope if row == last_row else knots.slope(k)
+        done, beta, eta = knots.at[k], knots.beta(k), knots.eta[k]
         if 0 <= j < i and self._ends[j] >= done:
             # resume from the segment built last, after the same knot: its
             # start is beta and eta after its ending event's predecessors
             done, beta, eta = self._ends[j], seg.beta_start, seg.eta_start
         # every event from there to the end is a switch after knot k: the
         # engine's advance step, in its order
-        for t in self._events.eta[done:end]:
+        for t in self.events.eta[done:end]:
             if t < eta:
                 t = eta  # absorbed at the current position
             beta = beta + (t - eta) * slope
@@ -525,8 +505,8 @@ class KnotSegments(Sequence):
 
     def _segment(self, i: int, end: int, row: int, beta: np.ndarray,
                  slope: np.ndarray) -> PathSegment:
-        event = self._events[end]
-        start = self._events.eta[self._ends[i - 1]] if i else 0.0
+        event = self.events[end]
+        start = self.events.eta[self._ends[i - 1]] if i else 0.0
         seg = PathSegment(start, event.eta, beta, slope, event)
         self._last = (i, seg, row)
         return seg
@@ -534,24 +514,25 @@ class KnotSegments(Sequence):
 
 @dataclass(frozen=True)
 class SolutionPath:
-    """Ordered segments and events covering eta in [0, eta_max).
+    """A path over eta in [0, eta_max), traced or loaded: its ``events``,
+    an :class:`EventLog` whose events are built on access and compare by
+    value, and its ``knots``, a :class:`KnotStore` holding the eta, beta
+    and slope of each knot in float64 row blocks.
 
-    ``segments`` is a :class:`KnotSegments` view, for a traced path and a
-    loaded one alike: beta is stored once per knot, in float64 row blocks,
-    ``len(path.segments)`` is cheap, and each indexed segment is replayed
-    from the segment built last, the one segment kept, or from its nearest
-    knot; iterating replays each event once.  A segment's ``slope``, and
-    its ``beta_start`` at a knot, are read-only views into those blocks.
-    ``events`` is an :class:`EventLog` (any sequence of events given is
-    stored as one), a read-only sequence whose events are built on access
-    and compare by value."""
+    ``segments`` is the :class:`KnotSegments` view over those two stores,
+    built with the path: ``len(path.segments)`` is cheap, and each indexed
+    segment is replayed from the segment built last, the one segment
+    kept, or from its nearest knot; iterating replays each event once.  A
+    segment's ``slope``, and its ``beta_start`` at a knot, are read-only
+    views into the knot blocks."""
 
-    segments: KnotSegments
     events: EventLog
+    knots: KnotStore
     provenance: dict = field(default_factory=dict)
+    segments: KnotSegments = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "events", EventLog.of(self.events))
+        object.__setattr__(self, "segments", KnotSegments(self.events, self.knots))
 
     @property
     def eta_end(self) -> float:
@@ -724,13 +705,12 @@ def save_path(path: SolutionPath, jsonl_path) -> None:
     then each knot (its ``eta``, ``beta`` and ``slope``, leaving ``slope``
     out where it is the previous knot's row) followed by the events
     applied after it, writing each record as it is formed."""
-    segs, events = path.segments, path.events
-    knots = segs._knots
+    knots, events = path.knots, path.events
     ends = (*knots.at[1:], len(events))
     with Path(jsonl_path).open("w") as fh:
         fh.write(json.dumps({"record": "header", "provenance": path.provenance}) + "\n")
         for k, (at, end) in enumerate(zip(knots.at, ends)):
-            knot = {"record": "knot", "eta": segs._eta[k], "beta": knots.beta(k).tolist()}
+            knot = {"record": "knot", "eta": knots.eta[k], "beta": knots.beta(k).tolist()}
             if not k or knots.slope_row[k] != knots.slope_row[k - 1]:
                 knot["slope"] = knots.slope(k).tolist()
             fh.write(json.dumps(knot) + "\n")
@@ -743,11 +723,14 @@ def _append_event(log: EventLog, d) -> None:
     """Append the event record ``d`` of a path file to ``log``."""
     if not isinstance(d, dict):
         raise ValidationError("the event is not a JSON object")
+    eta = d["eta"]
+    if type(eta) is not float or not eta >= 0:  # NaN too; +inf ends a path
+        raise ValidationError(f"event eta {eta!r} is not a nonnegative float")
     counts = [d.get(key) for key in _EVENT_FIELDS[2:]]
     if not all(c is None or (type(c) is int and 0 <= c < 2**31) for c in counts):
         raise ValidationError("an event's g, k, nnz and n_groups must be null "
                               "or integers in [0, 2**31)")
-    log.append(d["kind"], float(d["eta"]), *counts)
+    log.append(d["kind"], eta, *counts)
 
 
 def _knot_vector(rec: dict, key: str, knots: KnotStore | None) -> np.ndarray:
@@ -765,13 +748,15 @@ def _knot_vector(rec: dict, key: str, knots: KnotStore | None) -> np.ndarray:
 
 def load_path(jsonl_path) -> SolutionPath:
     """Read a path saved by :func:`save_path` into the form a traced path
-    has: the events in an :class:`EventLog` and the knots in a
-    :class:`KnotStore`, where a knot record without ``slope`` reuses the
-    previous knot's slope row.
+    has: the events in an :class:`EventLog` and the knots, with the
+    checked ``eta`` of each, in a :class:`KnotStore`, where a knot record
+    without ``slope`` reuses the previous knot's slope row.
 
     Raises :class:`ValidationError`, naming the file and the line, on a
     line that is not a JSON object, a record that lacks a field it needs
-    or holds a value of the wrong type or length, an event whose g, k,
+    or holds a value of the wrong type or length, an event whose ``eta``
+    is not a JSON float or is NaN or negative (+inf ends a path; an
+    absorbed event may sit below the eta reached), an event whose g, k,
     nnz or n_groups is neither null nor an int32 count, a null or
     non-finite entry in a knot's ``beta`` or ``slope``, a knot whose
     ``eta`` is not, bit for bit, the float its preceding events reached
@@ -811,7 +796,7 @@ def load_path(jsonl_path) -> SolutionPath:
                     if knots is None:
                         knots = KnotStore(beta.size)
                     slope = _knot_vector(rec, "slope", knots) if "slope" in rec else None
-                    beta_row, slope_row = knots.add(len(events), slope is not None)
+                    beta_row, slope_row = knots.add(len(events), eta, slope is not None)
                     beta_row[:] = beta
                     if slope is not None:
                         slope_row[:] = slope
@@ -829,8 +814,7 @@ def load_path(jsonl_path) -> SolutionPath:
                 raise ValidationError(f"{jsonl_path}, line {line_no}: {exc}") from None
     if knots is None:
         knots = KnotStore(0)
-    return SolutionPath(segments=KnotSegments(events, knots), events=events,
-                        provenance=provenance)
+    return SolutionPath(events=events, knots=knots, provenance=provenance)
 
 
 def eval_path(path: SolutionPath, eta: float) -> np.ndarray:

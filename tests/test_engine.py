@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tempfile
@@ -895,6 +896,22 @@ class TestPinnedPaths:
         assert [e.kind for e in events] == case["kinds"]
         assert [[e.g, e.k] for e in events] == case["labels"]
         assert [e.eta for e in events] == pytest.approx(case["eta"], rel=1e-9, abs=0)
+        _assert_knots_hold_the_eta_reached(path)
+
+    def test_absorbed_event_knots_hold_the_eta_reached(self):
+        # this path splits below the eta it reached: the event is absorbed
+        path = run_path(*_integer_case(*_DECISION_CASES["absorbed"]))
+        assert path.provenance["diagnostics"]["absorbed_events"] >= 1
+        _assert_knots_hold_the_eta_reached(path)
+
+
+def _assert_knots_hold_the_eta_reached(path):
+    """Each knot's recorded eta is, bit for bit, the running maximum of 0.0
+    and the etas of the events before it, and the path's segments read the
+    path's own events and knots."""
+    assert path.segments.events is path.events and path.segments.knots is path.knots
+    reached = list(itertools.accumulate(path.events.eta, max, initial=0.0))
+    assert [eta.hex() for eta in path.knots.eta] == [reached[at].hex() for at in path.knots.at]
 
 
 def _extended_split_time(state, pos):

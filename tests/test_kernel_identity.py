@@ -370,11 +370,12 @@ def _record(inst, ray, options=None):
     """Everything a path run reports, bit for bit: events, knots, the
     segments they give and the diagnostics."""
     path = run_path(inst, ray, options)
-    segments = path.segments
+    segments, knots = path.segments, path.knots
     return (
         [(e.kind, _bits(e.eta), e.g, e.k, e.nnz, e.n_groups) for e in path.events],
-        (list(segments._at), [_bits(x) for x in segments._eta],
-         [b.tobytes() for b in segments._betas], [s.tobytes() for s in segments._slopes]),
+        (list(knots.at), [_bits(x) for x in knots.eta],
+         [knots.beta(k).tobytes() for k in range(len(knots))],
+         [knots.slope(k).tobytes() for k in range(len(knots))]),
         [(_bits(s.eta_start), _bits(s.eta_end), s.beta_start.tobytes(), s.slope.tobytes())
          for s in segments],
         repr(path.provenance["diagnostics"]),

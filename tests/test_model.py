@@ -38,7 +38,7 @@ from slopepath.errors import (
     ValidationError,
     ZeroDirectionError,
 )
-from slopepath.model import EventLog, KnotSegments, KnotStore, instance_hash, scatter_groups
+from slopepath.model import EventLog, KnotStore, instance_hash, scatter_groups
 
 
 class TestGroupStructure:
@@ -245,14 +245,14 @@ def _save_instance_joined(instance, csv_path, metadata=None):
 def _save_path_joined(path, jsonl_path):
     """``save_path`` as it was when it joined the whole JSONL text in
     memory before writing: the reference for the record-by-record writer."""
-    segs, events = path.segments, path.events
+    knots, events = path.knots, path.events
     out = [json.dumps({"record": "header", "provenance": path.provenance})]
-    ends = (*segs._at[1:], len(events))
-    rows = segs._knots.slope_row
-    for k, (at, end, beta, slope) in enumerate(zip(segs._at, ends, segs._betas, segs._slopes)):
-        knot = {"record": "knot", "eta": segs._eta[k], "beta": beta.tolist()}
+    ends = (*knots.at[1:], len(events))
+    rows = knots.slope_row
+    for k, (at, end) in enumerate(zip(knots.at, ends)):
+        knot = {"record": "knot", "eta": knots.eta[k], "beta": knots.beta(k).tolist()}
         if not k or rows[k] != rows[k - 1]:
-            knot["slope"] = slope.tolist()
+            knot["slope"] = knots.slope(k).tolist()
         out.append(json.dumps(knot))
         out.extend(json.dumps({"record": "event", "event": e.to_dict()}) for e in events[at:end])
     Path(jsonl_path).write_text("\n".join(out) + "\n")
@@ -432,6 +432,27 @@ class TestSerialization:
         with pytest.raises(ValidationError, match=re.escape(f"{file}, line {line_no}: knot eta")):
             load_path(file)
 
+    @pytest.mark.parametrize("eta", [math.nan, "0.5", True, -1.0],
+                             ids=["nan", "string", "true", "negative"])
+    def test_event_eta_must_be_a_nonnegative_float(self, tmp_path, eta):
+        # an event's eta places a segment end and a replay step: a NaN one
+        # dropped a segment and moved eval_path's beta before it.  +inf
+        # ends a path, and an absorbed event may sit below the eta reached
+        inst, _ = generate(ScenarioSpec(scenario=1, p=10, n=100, seed=0))
+        path = run_path(inst, validate_ray(np.zeros(10), design_sequence("qs", 10)))
+        assert len(path.segments) == 71
+        file = tmp_path / "path.jsonl"
+        save_path(path, file)
+        lines = file.read_text().splitlines()
+        line_no = [i for i, line in enumerate(lines, 1) if '"record": "event"' in line][40]
+        rec = json.loads(lines[line_no - 1])
+        rec["event"]["eta"] = eta
+        lines[line_no - 1] = json.dumps(rec)
+        file.write_text("\n".join(lines) + "\n")
+        message = f"{file}, line {line_no}: event eta {eta!r} is not a nonnegative float"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_path(file)
+
     def test_path_options_round_trip(self, tmp_path, t2_instance, t2_ray):
         tolerances = dict(timing_clamp=2e-10, tie_rtol=3e-12, negative_margin_rtol=2e-7,
                           group_tol_scale=5e-8, probe_tol=2e-6)
@@ -469,9 +490,7 @@ class TestEventLog:
         assert log != self.EVENTS[:3] and log != EventLog(self.EVENTS[:3])
         changed = EventLog((*self.EVENTS[:3], PathEvent("terminate", math.inf, nnz=1)))
         assert log != changed and changed != self.EVENTS
-        assert EventLog.of(log) is log
-        assert SolutionPath(segments=KnotSegments((), KnotStore(0)), events=self.EVENTS).events \
-            == log
+        assert SolutionPath(events=log, knots=KnotStore(0)).events is log
 
     def test_unknown_kind(self):
         with pytest.raises(ValidationError, match="unknown event kind 'bounce'"):
@@ -532,17 +551,16 @@ class TestEvalPath:
     def test_out_of_range_messages(self):
         end = PathEvent(kind="terminate", eta=3.0)
         knots = KnotStore(1)
-        beta, slope = knots.add(0, new_slope=True)
+        beta, slope = knots.add(0, 0.0, new_slope=True)
         beta[:], slope[:] = 1.0, 0.0
-        segments = KnotSegments((end,), knots)
-        path = SolutionPath(segments=segments, events=(end,))
+        path = SolutionPath(events=EventLog((end,)), knots=knots)
         for eta, message in [(-0.5, "eta must be nonnegative, got -0.5"),
                              (math.nan, "eta must be nonnegative, got nan"),
                              (3.0, "eta=3.0 is beyond the path horizon 3.0")]:
             with pytest.raises(OutOfRangeError, match=re.escape(message)):
                 eval_path(path, eta)
         with pytest.raises(OutOfRangeError, match="path has no segments"):
-            eval_path(SolutionPath(segments=KnotSegments((), KnotStore(0)), events=()), 0.0)
+            eval_path(SolutionPath(events=EventLog(), knots=KnotStore(0)), 0.0)
 
     def test_matches_segment_scan(self, tmp_path):
         inst, _ = generate(ScenarioSpec(scenario=1, p=10, n=50, seed=4))

@@ -256,15 +256,16 @@ class TestKnotSegments:
         path = self._path()
         save_path(path, tmp_path / "path.jsonl")
         loaded = load_path(tmp_path / "path.jsonl")
-        traced, knots = path.segments, loaded.segments
-        assert type(knots) is type(traced)
-        assert knots._at == traced._at
-        assert knots._knots.slope_row == traced._knots.slope_row
-        shares = _shares(list(knots))
-        assert shares == _shares(list(traced)) and any(shares) and not all(shares)
-        for a in (*knots._betas, *knots._slopes):
-            with pytest.raises(ValueError):
-                a[0] = 1.0
+        assert type(loaded.segments) is type(path.segments)
+        knots = loaded.knots
+        assert knots.at == path.knots.at
+        assert knots.slope_row == path.knots.slope_row
+        shares = _shares(list(loaded.segments))
+        assert shares == _shares(list(path.segments)) and any(shares) and not all(shares)
+        for k in range(len(knots)):
+            for a in (knots.beta(k), knots.slope(k)):
+                with pytest.raises(ValueError):
+                    a[0] = 1.0
 
     def test_length_and_starts_build_no_segment(self, monkeypatch):
         path = self._path()
@@ -312,7 +313,7 @@ class TestZeroLevelKnots:
         structural = sum(e.kind in STRUCTURAL for e in path.events)
         assert len(planted) == 2
         # such a knot shares the slope, so its record leaves the slope out
-        rows = path.segments._knots.slope_row
+        rows = path.knots.slope_row
         shared = sum(a == b for a, b in zip(rows, rows[1:]))
         records = map(json.loads, (tmp_path / "path.jsonl").read_text().splitlines())
         assert sum(r["record"] == "knot" and "slope" not in r for r in records) == shared > 0
@@ -332,10 +333,8 @@ def _retained(trace):
 
 
 def _drop_knots(path):
-    """``path`` with its knot store emptied in place and no knot etas."""
-    segs = path.segments
-    segs._knots.__init__(segs._knots.p)
-    del segs._eta[:]
+    """``path`` with its knot store, knot etas too, emptied in place."""
+    path.knots.__init__(path.knots.p)
     return path
 
 
@@ -399,7 +398,7 @@ class TestRetainedMemory:
         run_path(inst, ray)  # forms what the instance caches
         path, kept = _retained(lambda: run_path(inst, ray))
         _, without = _retained(lambda: _drop_knots(run_path(inst, ray)))
-        knots = path.segments._knots
+        knots = path.knots
         vector = 8 * inst.p
         rows = (len(knots) + knots.slopes.n) * vector
         assert len(knots) > 1000
